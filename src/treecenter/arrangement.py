@@ -1,9 +1,13 @@
-"""Searching a line arrangement for the lowest feasible crossing.
+"""Narrowing a bracket around the lowest feasible crossing of a line arrangement.
 
 Lines are y = a*x + b. Crossings below a horizontal sweep level are
 counted as inversions between the left-to-right orders of the lines at
 two levels, via a merge sort; the same merge draws a uniformly random
-crossing from a y-band, which drives the randomized narrowing loop.
+crossing from a y-band. One randomized loop tests drawn crossings until
+the bracket's interior holds none, so its ends become y(v2) and y(v1):
+the highest infeasible and the lowest feasible crossing. The loop carries
+stall fuel for float runs. Later phases read only the line order inside
+that bracket (`compute_ranks`).
 
 Horizontal lines have no sweep position; a zero-slope line carries a
 `bias` (+1 or -1) that places it at +infinity or -infinity in rank
@@ -12,7 +16,6 @@ orders, the limit of its family as the slope tends to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,14 +28,6 @@ class Line(NamedTuple):
     b: object
     tag: object
     bias: int = 0  # only meaningful when a == 0
-
-
-@dataclass
-class BoundaryVertices:
-    """Lowest feasible crossing (v1) and highest crossing strictly below it."""
-
-    v1: tuple | None  # (x, y, (tag_i, tag_j))
-    v2: tuple | None
 
 
 # Band ends: ("ninf",) | ("pinf",) | ("val", y, include_crossings_at_y)
@@ -160,16 +155,19 @@ def count_vertices_at_or_below(lines, lam) -> int:
     return _band(lines, ("ninf",), ("val", lam, True))[0]
 
 
-def find_boundary_vertices(lines, rng: LambdaRange, tester, rand):
-    """Narrow `rng` until its open interior holds no crossing; report v1/v2.
+def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
+    """Narrow `rng` in place until its open interior holds no crossing.
 
-    v1 is the lowest crossing with feasible y, v2 the highest crossing
-    strictly below y(v1) (below everything when v1 is None). The bracket
-    is narrowed in place; the tester is only called strictly inside it.
+    Each pass counts the crossings strictly inside the bracket and tests
+    the y of one drawn uniformly among them; the tester is only called
+    strictly inside the bracket. Afterwards `rng.hi` is y(v1), the lowest
+    crossing with feasible y, and `rng.lo` is y(v2), the highest crossing
+    strictly below it, wherever these lie inside the initial bracket;
+    otherwise that end is unchanged.
 
     With exact scalars every sampled crossing narrows the bracket. Float
     arithmetic can disagree with the sweep-order keys by rounding, so the
-    loops carry stall fuel and settle for the current state when spent.
+    loop carries stall fuel and settles for the current bracket when spent.
     """
     lines = list(lines)
     fuel = 64
@@ -178,41 +176,14 @@ def find_boundary_vertices(lines, rng: LambdaRange, tester, rand):
             lines, ("val", rng.lo, False), ("val", rng.hi, False), rand
         )
         if cnt == 0:
-            break
+            return
         _x, y = crossing_point(*pair)
         lo0, hi0 = rng.lo, rng.hi
         rng.resolve(tester, y)
         if rng.lo == lo0 and rng.hi == hi0:
             fuel -= 1
             if fuel <= 0:
-                break
-
-    def extreme(lo_end, hi_end, pick_left: bool):
-        cnt, pair = _band(lines, lo_end, hi_end, rand)
-        if cnt == 0:
-            return None
-        best = crossing_point(*pair) + ((pair[0].tag, pair[1].tag),)
-        stall = 16
-        while True:
-            if pick_left:
-                sub_lo, sub_hi = lo_end, ("val", best[1], False)
-            else:
-                sub_lo, sub_hi = ("val", best[1], False), hi_end
-            cnt, pair = _band(lines, sub_lo, sub_hi, rand)
-            if cnt == 0:
-                return best
-            cand = crossing_point(*pair) + ((pair[0].tag, pair[1].tag),)
-            improves = cand[1] < best[1] if pick_left else cand[1] > best[1]
-            if improves:
-                best = cand
-            else:
-                stall -= 1
-                if stall <= 0:
-                    return best
-
-    v1 = extreme(("val", rng.hi, True), ("pinf",), pick_left=True)
-    v2 = extreme(("ninf",), ("val", rng.lo, True), pick_left=False)
-    return BoundaryVertices(v1=v1, v2=v2), rng
+                return
 
 
 class RankContractError(RuntimeError):

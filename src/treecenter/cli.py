@@ -19,6 +19,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _fraction_str(value) -> str:
@@ -255,7 +256,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

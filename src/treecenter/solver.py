@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .arrangement import Line, compute_ranks, find_boundary_vertices
@@ -30,6 +30,7 @@ from .stems import (
     stem_lines,
     stem_matrices_continuous,
     WorkingTree,
+    _alpha_discrete,
 )
 from .tree import Tree, root_at
 
@@ -41,7 +42,6 @@ class SolverConfig:
     r: int | None = None      # substem length cap; default ceil(log2 n)^2
     use_phase0: bool = True
     use_phase1: bool = True
-    use_phase2: bool = True
     seed: int = 0x5EED
     record_tests: bool = False
 
@@ -211,7 +211,7 @@ class FastFeasibility:
         def pred(i):
             p = tab.env.query_lowest(0, 4 * i)
             if self.discrete:
-                alpha, xq = _alpha_discrete_pos(tab.env, x, 0, 4 * i, p)
+                alpha, xq = _alpha_discrete(tab.env, tab.stem, 0, 4 * i, p)
                 if not alpha <= lam:
                     return False
                 if xq <= dval:
@@ -233,22 +233,6 @@ class FastFeasibility:
             else:
                 hi = mid - 1
         return lo
-
-
-def _alpha_discrete_pos(env, xs, lo, hi, p):
-    """Discrete one-center value and its backbone x position."""
-    x, y = p
-    i = bisect_left(xs, x)
-    if i < len(xs) and xs[i] == x:
-        return y, x
-    best = None
-    if i > 0:
-        best = (env.query_on_line(lo, hi, xs[i - 1]), xs[i - 1])
-    if i < len(xs):
-        cand = (env.query_on_line(lo, hi, xs[i]), xs[i])
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -587,9 +571,7 @@ def solve(tree: Tree, k: int, config: SolverConfig | None = None) -> SolveResult
         if config.use_phase0:
             session.phase0()
         session.phase1()
-        lam_star = (
-            session.phase2() if config.use_phase2 else _finish_by_candidates(session)
-        )
+        lam_star = session.phase2()
     except _BudgetExhausted:
         lam_star = session.range.hi
 
@@ -599,23 +581,3 @@ def solve(tree: Tree, k: int, config: SolverConfig | None = None) -> SolveResult
     session.stats["wall_ms"] = (time.perf_counter() - started) * 1000
     return SolveResult(lam_star, out.centers, session.stats, session.tested)
 
-
-def _finish_by_candidates(session: _Session) -> object:
-    """Candidate enumeration on the reduced tree (test fallback path)."""
-    from .oracle import candidate_values
-
-    session.phase = "phase2"
-    rooted, _ = session.working.materialize()
-    mode = "discrete" if session.discrete else "continuous"
-    values = candidate_values(rooted.tree, mode)
-    tester = session.fast_tester()
-    rng = session.range
-    values = [v for v in values if rng.lo < v < rng.hi]
-    lo, hi = 0, len(values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rng.resolve(tester, values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return rng.hi

@@ -627,7 +627,7 @@ def cleanup_continuous(stem: Stem, owns_top: bool, rankp) -> tuple:
             if rb < rankp("v", p, 1):
                 vcov[p] = True
             if p in stem.thorns and rb < rankp("u", p, 1):
-                ucov[p] = ucov.get(p, False) or True
+                ucov[p] = True
     return vcov, ucov
 
 
@@ -664,7 +664,7 @@ def cleanup_discrete(stem: Stem, owns_top: bool, lam) -> tuple:
                 vcov[p] = True
             th = stem.thorns.get(p)
             if th is not None and th.weight * (th.length + dist) <= lam:
-                ucov[p] = ucov.get(p, False) or True
+                ucov[p] = True
     return vcov, ucov
 
 
@@ -751,7 +751,7 @@ def build_stem_tables(
         # can one center cover V positions vpos[i..j] under lam
         p = env.query_lowest(4 * i, 4 * (j + 1))
         if discrete:
-            return _alpha_discrete(env, stem, 4 * i, 4 * (j + 1), p) <= lam
+            return _alpha_discrete(env, stem, 4 * i, 4 * (j + 1), p)[0] <= lam
         return p[1] <= lam
 
     def dvm(e: VEntry):
@@ -800,16 +800,17 @@ def build_stem_tables(
 
 def _alpha_discrete(env: EnvelopeIndex, stem: Stem, lo: int, hi: int, p):
     """Snap the unconstrained one-center optimum to the better neighboring
-    backbone vertex."""
+    backbone vertex: (value, backbone x position)."""
     x, y = p
-    i = bisect_left(stem.x, x)
-    if i < len(stem.x) and stem.x[i] == x:
-        return y
+    xs = stem.x
+    i = bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return y, x
     best = None
     if i > 0:
-        best = env.query_on_line(lo, hi, stem.x[i - 1])
-    if i < len(stem.x):
-        cand = env.query_on_line(lo, hi, stem.x[i])
-        if best is None or cand < best:
+        best = (env.query_on_line(lo, hi, xs[i - 1]), xs[i - 1])
+    if i < len(xs):
+        cand = (env.query_on_line(lo, hi, xs[i]), xs[i])
+        if best is None or cand[0] < best[0]:
             best = cand
     return best

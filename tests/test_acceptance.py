@@ -251,15 +251,9 @@ def test_criterion_6_arrangement_search():
 
         want1, want2 = oracle_arrangement(lines, lambda lam: lam >= theta)
         band = LambdaRange(ys[0] - 1, ys[-1] + 1)
-        bv, _ = find_boundary_vertices(lines, band, tester, rng)
-        if want1 is None:
-            assert bv.v1 is None
-        else:
-            assert bv.v1 is not None and bv.v1[1] == want1[1]
-        if want2 is None:
-            assert bv.v2 is None
-        else:
-            assert bv.v2 is not None and bv.v2[1] == want2[1]
+        find_boundary_vertices(lines, band, tester, rng)
+        assert band.hi == (ys[-1] + 1 if want1 is None else want1[1])
+        assert band.lo == (ys[0] - 1 if want2 is None else want2[1])
         total_calls += calls
         total_budget += 3 * math.log2(m) + 5
     assert total_calls <= total_budget, (total_calls, total_budget)

@@ -26,10 +26,8 @@ def threshold(theta):
 def test_single_crossing():
     lines = [L(1, 1, "p"), L(-1, 1, "q")]
     rng = LambdaRange(Fraction(-10), Fraction(10))
-    bv, rng = find_boundary_vertices(lines, rng, threshold(1), random.Random(1))
-    assert bv.v1 is not None and bv.v1[0] == 0 and bv.v1[1] == 1
-    assert bv.v2 is None
-    assert rng.hi == 1
+    assert find_boundary_vertices(lines, rng, threshold(1), random.Random(1)) is None
+    assert (rng.lo, rng.hi) == (-10, 1)
 
 
 def test_three_crossing_levels():
@@ -37,22 +35,17 @@ def test_three_crossing_levels():
     lines = [L(1, 1, 1), L(-1, 1, 2), L(0, 2, 3), L(0, 3, 4)]
     # crossings: lines 1&2 at y=1; 1&3,2&3 at y=2; 1&4,2&4 at y=3
     rng = LambdaRange(Fraction(-5), Fraction(50))
-    bv, rng = find_boundary_vertices(
-        lines, rng, threshold(Fraction(5, 2)), random.Random(2)
-    )
-    assert bv.v1[1] == 3
-    assert bv.v2[1] == 2
-    assert rng.lo >= 2 and rng.hi == 3
+    find_boundary_vertices(lines, rng, threshold(Fraction(5, 2)), random.Random(2))
+    assert (rng.lo, rng.hi) == (2, 3)
 
 
 def test_always_feasible_returns_lowest_vertex():
     lines = [L(1, 0, "a"), L(-1, 4, "b"), L(2, -1, "c")]
     verts = enumerate_arrangement_vertices(lines)
     lowest = min(v[0] for v in verts)
-    rng = LambdaRange(min(v[0] for v in verts) - 1, max(v[0] for v in verts) + 1)
-    bv, _ = find_boundary_vertices(lines, rng, lambda lam: True, random.Random(3))
-    assert bv.v1[1] == lowest
-    assert bv.v2 is None
+    rng = LambdaRange(lowest - 1, max(v[0] for v in verts) + 1)
+    find_boundary_vertices(lines, rng, lambda lam: True, random.Random(3))
+    assert (rng.lo, rng.hi) == (lowest - 1, lowest)
 
 
 def test_count_simple():
@@ -122,24 +115,17 @@ def test_boundary_matches_oracle(seed):
     )
     tester = threshold(theta)
     want1, want2 = oracle_arrangement(lines, tester)
-    rng_band = LambdaRange(ys[0] - 1, ys[-1] + 1)
-    bv, _ = find_boundary_vertices(lines, rng_band, tester, rng)
-    if want1 is None:
-        assert bv.v1 is None
-    else:
-        assert bv.v1 is not None and bv.v1[1] == want1[1]
-    if want2 is None:
-        assert bv.v2 is None
-    else:
-        assert bv.v2 is not None and bv.v2[1] == want2[1]
+    band = LambdaRange(ys[0] - 1, ys[-1] + 1)
+    find_boundary_vertices(lines, band, tester, rng)
+    assert band.hi == (ys[-1] + 1 if want1 is None else want1[1])
+    assert band.lo == (ys[0] - 1 if want2 is None else want2[1])
 
 
 def test_parallel_only_no_vertices():
     lines = [L(1, 0, 1), L(1, 3, 2), L(1, 9, 3)]
     rng = LambdaRange(Fraction(-5), Fraction(5))
-    bv, rng2 = find_boundary_vertices(lines, rng, threshold(0), random.Random(4))
-    assert bv.v1 is None and bv.v2 is None
-    assert (rng2.lo, rng2.hi) == (Fraction(-5), Fraction(5))
+    find_boundary_vertices(lines, rng, threshold(0), random.Random(4))
+    assert (rng.lo, rng.hi) == (Fraction(-5), Fraction(5))
 
 
 def test_compute_ranks_basic():
@@ -211,3 +197,37 @@ def test_tester_call_budget(rng):
     import math
 
     assert total_calls / runs <= 3 * math.log2(64) + 5
+
+
+def test_one_band_pass_per_test_plus_the_last(monkeypatch):
+    import treecenter.arrangement as arrangement
+
+    real_band = arrangement._band
+    passes = 0
+
+    def counted(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return real_band(*args, **kwargs)
+
+    monkeypatch.setattr(arrangement, "_band", counted)
+    r = random.Random(4000)
+    for _ in range(20):
+        lines = random_lines(r, r.randint(2, 40))
+        verts = enumerate_arrangement_vertices(lines)
+        if not verts:
+            continue
+        ys = sorted(v[0] for v in verts)
+        theta = r.choice(ys)
+        calls = 0
+
+        def tester(lam):
+            nonlocal calls
+            calls += 1
+            return lam >= theta
+
+        passes = 0
+        band = LambdaRange(ys[0] - 1, ys[-1] + 1)
+        arrangement.find_boundary_vertices(lines, band, tester, r)
+        assert calls >= 1
+        assert passes == calls + 1

@@ -94,6 +94,24 @@ def test_verify_detects_injected_bug(monkeypatch, tmp_path, capsys):
     assert dumps
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "{path2}"],
+    ["verify", "--seeds", "1..2", "--nmax", "10", "--quiet"],
+])
+def test_internal_fault_has_its_own_exit_code(argv, path2, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def faulty(tree, k, config=None):
+        raise AssertionError("solver produced an infeasible optimum")
+
+    monkeypatch.setattr(cli, "solve", faulty)
+    argv = [a.format(path2=path2) for a in argv]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: AssertionError: solver produced an infeasible optimum"]
+    assert not list(tmp_path.glob("verify_fail_seed*.tree"))
+
 def test_bench_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert cli.main(

@@ -244,14 +244,12 @@ def test_fast_test_rejects_out_of_bracket():
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 def test_phase_toggles_fall_back(mode):
     rng = random.Random(31)
-    for flags in ((False, True, True), (True, False, True), (True, True, False),
-                  (False, False, False)):
-        p0, p1, p2 = flags
+    for p0, p1 in ((False, True), (True, False), (False, False)):
         for _ in range(4):
             n = rng.randint(2, 30)
             tree = random_tree(n, seed=rng.randrange(10**6))
             k = rng.randint(1, n)
-            cfg = SolverConfig(mode=mode, use_phase0=p0, use_phase1=p1, use_phase2=p2)
+            cfg = SolverConfig(mode=mode, use_phase0=p0, use_phase1=p1)
             assert solve(tree, k, cfg).lambda_star == oracle_solve(tree, k, mode)
 
 
