@@ -109,6 +109,12 @@ def cmd_verify(args) -> int:
     except ValueError:
         print("error: bad seed range", file=sys.stderr)
         return EXIT_USAGE
+    if lo > hi:
+        print("error: empty seed range", file=sys.stderr)
+        return EXIT_USAGE
+    if args.nmax < 2:
+        print("error: nmax must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
     if args.nmax > ORACLE_SIZE_GUARD:
         print(f"error: nmax exceeds oracle guard {ORACLE_SIZE_GUARD}", file=sys.stderr)
         return EXIT_USAGE
@@ -148,6 +154,12 @@ def cmd_bench(args) -> int:
             sizes.append(int(tok))
     except ValueError:
         print("error: bad sizes list", file=sys.stderr)
+        return EXIT_USAGE
+    if min(sizes) < 1:
+        print("error: sizes must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.repeats < 1:
+        print("error: repeats must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     for n in sizes:
@@ -189,6 +201,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        print("error: n must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     tree = random_tree(
         args.n,
         seed=args.seed,
@@ -265,3 +280,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -1,11 +1,13 @@
-"""Searching collections of implicitly represented sorted matrices.
+"""Searching pools of implicitly represented sorted rows.
 
-A sorted matrix has nonincreasing rows (left to right) and nonincreasing
-columns (top to bottom). `msearch` discards all but at most c elements of
-a matrix pool against a monotone feasibility predicate while maintaining
-an open-closed bracket (lo, hi] around the optimum: lo stays strictly
-infeasible, hi stays feasible, and only values strictly inside the open
-interval are ever submitted to the tester.
+A pool matrix is given by an evaluator; only its rows need to be sorted,
+nonincreasing from left to right. `msearch` keeps one active index interval
+per row and halves the intervals around the weighted median of their middle
+elements (Frederickson & Johnson, SIAM J. Comput. 1984) until at most c
+elements remain. It maintains an open-closed bracket (lo, hi] around the
+optimum: lo stays strictly infeasible, hi stays feasible, and only values
+strictly inside the open interval are ever submitted to the tester. An
+interval only loses indices whose values lie outside the open bracket.
 """
 
 from __future__ import annotations
@@ -39,16 +41,14 @@ class LambdaRange:
         self.lo = value
         return False
 
-    def copy(self) -> "LambdaRange":
-        return LambdaRange(self.lo, self.hi)
-
     def __repr__(self):
         return f"LambdaRange(({self.lo}, {self.hi}])"
 
 
 @dataclass(frozen=True)
 class SortedMatrix:
-    """rows x cols matrix given by an evaluator; rows and columns nonincreasing."""
+    """rows x cols matrix given by an evaluator; every row is nonincreasing
+    from left to right. Columns carry no order."""
 
     rows: int
     cols: int
@@ -61,17 +61,9 @@ class SortedMatrix:
 
 @dataclass
 class MSearchResult:
-    range: LambdaRange
     remaining: int
     remaining_per_matrix: list = field(default_factory=list)
     tester_calls: int = 0
-
-
-def _next_pow2(x: int) -> int:
-    p = 1
-    while p < x:
-        p <<= 1
-    return p
 
 
 def _weighted_median(pairs):
@@ -86,127 +78,49 @@ def _weighted_median(pairs):
     return pairs[-1][0]
 
 
-class _Square:
-    __slots__ = ("mat", "i0", "j0", "size", "h", "w", "vmin", "vmax")
-
-    def __init__(self, mat_idx: int, i0: int, j0: int, size: int, rows: int, cols: int):
-        self.mat = mat_idx
-        self.i0 = i0
-        self.j0 = j0
-        self.size = size
-        self.h = min(size, rows - i0)
-        self.w = min(size, cols - j0)
-
-    def cells(self) -> int:
-        return self.h * self.w
-
-
 def msearch(matrices, rng: LambdaRange, c: int, tester) -> MSearchResult:
     """Discard all but at most c pool elements, narrowing `rng` in place.
 
     `tester` is a monotone predicate lam -> bool called only on values
-    strictly inside the current open interval.
+    strictly inside the current open interval. Each round evaluates the
+    middle element of every active interval, resolves their weighted median
+    (weight = interval length), and drops the half of each interval that the
+    bracket now excludes; at least a quarter of the active elements go per
+    round, so there are O(log N) rounds and one evaluation per active row
+    per round.
     """
     if c < 0:
         raise ValueError("stopping count must be nonnegative")
-
-    # normalize orientation so rows <= cols; a transposed sorted matrix is sorted
-    norm = []
-    for m in matrices:
-        if m.rows <= m.cols:
-            norm.append((m.rows, m.cols, m.eval))
-        else:
-            ev = m.eval
-            norm.append((m.cols, m.rows, lambda i, j, _e=ev: _e(j, i)))
-
-    total = sum(r * cl for r, cl, _ in norm)
-    result = MSearchResult(range=rng, remaining=total,
-                           remaining_per_matrix=[m.rows * m.cols for m in matrices])
-    if total <= c:
-        return result
-
     calls = 0
 
-    def resolve(value) -> bool:
+    def counted(value):
         nonlocal calls
-        if value <= rng.lo:
-            return False
-        if value >= rng.hi:
-            return True
         calls += 1
-        feas = tester(value)
-        if feas:
-            rng.hi = value
-        else:
-            rng.lo = value
-        return feas
+        return tester(value)
 
-    # cut each matrix into width-r chunks, padded to a common power-of-two side
-    side = 1
-    for r, _cl, _ in norm:
-        side = max(side, _next_pow2(r))
-    squares = []
-    for idx, (r, cl, _) in enumerate(norm):
-        for j0 in range(0, cl, r):
-            sq = _Square(idx, 0, j0, side, r, cl)
-            sq.w = min(r, cl - j0)
-            squares.append(sq)
-
-    def corners(sq: _Square):
-        r, cl, ev = norm[sq.mat]
-        sq.vmax = ev(sq.i0, sq.j0)
-        sq.vmin = ev(sq.i0 + sq.h - 1, sq.j0 + sq.w - 1)
-
-    def prune(pool):
+    # (matrix index, evaluator, row, start, end) of every nonempty row
+    active = [(idx, m.eval, i, 0, m.cols)
+              for idx, m in enumerate(matrices) if m.cols > 0
+              for i in range(m.rows)]
+    remaining = sum(e for *_, e in active)
+    while remaining > c:
+        mids = [ev(i, (s + e) // 2) for _, ev, i, s, e in active]
+        rng.resolve(counted, _weighted_median(
+            [(v, e - s) for v, (*_, s, e) in zip(mids, active)]))
         kept = []
-        for sq in pool:
-            if sq.vmax <= rng.lo or sq.vmin >= rng.hi:
-                continue
-            kept.append(sq)
-        return kept
-
-    for sq in squares:
-        corners(sq)
-    squares = prune(squares)
-
-    def remaining_cells(pool) -> int:
-        return sum(sq.cells() for sq in pool)
-
-    while remaining_cells(squares) > c and squares:
-        if side > 1:
-            side //= 2
-            children = []
-            for sq in squares:
-                r, cl, _ = norm[sq.mat]
-                for di in (0, side):
-                    for dj in (0, side):
-                        i0, j0 = sq.i0 + di, sq.j0 + dj
-                        if i0 < r and j0 < cl and i0 < sq.i0 + sq.h and j0 < sq.j0 + sq.w:
-                            child = _Square(sq.mat, i0, j0, side, r, cl)
-                            child.h = min(child.h, sq.i0 + sq.h - i0)
-                            child.w = min(child.w, sq.j0 + sq.w - j0)
-                            corners(child)
-                            children.append(child)
-            squares = prune(children)
-            if remaining_cells(squares) <= c:
-                break
-
-        if not squares:
-            break
-        med_lo = _weighted_median([(sq.vmin, sq.cells()) for sq in squares])
-        resolve(med_lo)
-        squares = prune(squares)
-        if remaining_cells(squares) <= c or not squares:
-            break
-        med_hi = _weighted_median([(sq.vmax, sq.cells()) for sq in squares])
-        if med_hi != med_lo:
-            resolve(med_hi)
-            squares = prune(squares)
+        for v, (idx, ev, i, s, e) in zip(mids, active):
+            mid = (s + e) // 2
+            if v >= rng.hi:
+                s = mid + 1  # values at indices <= mid are >= v
+            elif v <= rng.lo:
+                e = mid  # values at indices >= mid are <= v
+            if s < e:
+                kept.append((idx, ev, i, s, e))
+        active = kept
+        remaining = sum(e - s for *_, s, e in active)
 
     per_matrix = [0] * len(matrices)
-    for sq in squares:
-        per_matrix[sq.mat] += sq.cells()
-    result.remaining = sum(per_matrix)
-    result.remaining_per_matrix = per_matrix
-    result.tester_calls = calls
-    return result
+    for idx, *_, s, e in active:
+        per_matrix[idx] += e - s
+    return MSearchResult(remaining=remaining, remaining_per_matrix=per_matrix,
+                         tester_calls=calls)

@@ -314,7 +314,7 @@ def stem_halfplanes(stem: Stem) -> list:
 
 
 def stem_matrices_continuous(stem: Stem, env: EnvelopeIndex = None):
-    """The m x m matrix plus one pair of arrays per twig; all sorted
+    """The m x m matrix plus one pair of arrays per twig; every row is
     nonincreasing. Elements evaluate through sublist lowest-point queries."""
     if env is None:
         env = EnvelopeIndex(stem_halfplanes(stem))
@@ -375,20 +375,14 @@ def stem_arrays_discrete(stem: Stem):
     xs = [x for x, _ in pts]
     mats = []
     for i, (xi, wi) in enumerate(pts):
-        if t - i > 0:
-            def right_eval(_r, j, xi=xi, wi=wi):
-                return wi * (xs[t - 1 - j] - xi)
+        def right_eval(_r, j, xi=xi, wi=wi):
+            return wi * (xs[t - 1 - j] - xi)
 
-            mats.append(
-                SortedMatrix(rows=1, cols=t - i, eval=right_eval, owner=("Dr", i))
-            )
-        if i + 1 > 0:
-            def left_eval(_r, j, xi=xi, wi=wi):
-                return wi * (xi - xs[j])
+        def left_eval(_r, j, xi=xi, wi=wi):
+            return wi * (xi - xs[j])
 
-            mats.append(
-                SortedMatrix(rows=1, cols=i + 1, eval=left_eval, owner=("Dl", i))
-            )
+        mats.append(SortedMatrix(rows=1, cols=t - i, eval=right_eval, owner=("Dr", i)))
+        mats.append(SortedMatrix(rows=1, cols=i + 1, eval=left_eval, owner=("Dl", i)))
     return mats, pts
 
 

@@ -14,6 +14,7 @@ import pytest
 from treecenter.arrangement import find_boundary_vertices
 from treecenter.feasibility import ftest0_feasible
 from treecenter.oracle import (
+    candidate_values,
     enumerate_arrangement_vertices,
     oracle_arrangement,
     oracle_solve,
@@ -297,30 +298,63 @@ def test_criterion_7_stem_candidate_membership():
     print("\nACCEPTANCE 7 stem candidate membership and route agreement (200 stems): PASS")
 
 
-def test_criterion_8_reduction_preserves_optimum():
-    rng = random.Random(SEED_BASE + 8)
+def _check_reduction(tree, k, config):
+    """Phase 0 is faithful strictly inside its final bracket (lo, hi]: there
+    the reduced tree with the remaining budget gives the original verdicts.
+    Returns the number of probed values."""
     import treecenter.solver as SV
 
+    mode = config.mode
+    discrete = mode == "discrete"
+    want = oracle_solve(tree, k, mode)
+    s = _Session(tree, k, config)
+    s.preprocess()
+    try:
+        s.phase0()
+    except SV._BudgetExhausted:
+        assert want == s.range.hi
+        return 0
+    lo, hi = s.range.lo, s.range.hi
+    rooted_red, _ = s.working.materialize()
+    inside = [v for v in candidate_values(tree, mode) if lo < v < hi]
+    ends = [lo] + inside + [hi]
+    probes = inside + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    for lam in probes:
+        assert ftest0_feasible(s.rooted, lam, k, discrete) == ftest0_feasible(
+            rooted_red, lam, s.k_work, discrete
+        ), lam
+    got = oracle_solve(rooted_red.tree, max(s.k_work, 1), mode)
+    if want < hi:
+        assert got == want
+    else:
+        # at hi the reduction need not be faithful; the solver never tests hi
+        assert want == hi and got >= want
+        assert solve(tree, k, config).lambda_star == want
+    return len(probes)
+
+
+def test_criterion_8_reduction_preserves_optimum():
+    rng = random.Random(SEED_BASE + 8)
     checked = 0
+    probes = 0
     while checked < 200:
         n = rng.randint(4, 64)
         tree = random_tree(n, seed=rng.randrange(10**7))
         k = rng.randint(1, n)
         mode = "discrete" if checked % 2 else "continuous"
-        want = oracle_solve(tree, k, mode)
-        s = _Session(tree, k, SolverConfig(mode=mode, r=rng.choice([2, 3, 4])))
-        if ftest0_feasible(s.rooted, 0, k, mode == "discrete"):
+        config = SolverConfig(mode=mode, r=rng.choice([2, 3, 4]))
+        if ftest0_feasible(root_at(tree, 0), 0, k, mode == "discrete"):
             continue
         checked += 1
-        s.preprocess()
-        try:
-            s.phase0()
-        except SV._BudgetExhausted:
-            assert want == s.range.hi
-            continue
-        rooted_red, _ = s.working.materialize()
-        assert oracle_solve(rooted_red.tree, max(s.k_work, 1), mode) == want
-    print("\nACCEPTANCE 8 leaf-stem reduction preserves the optimum (200 trees): PASS")
+        probes += _check_reduction(tree, k, config)
+    # the bracket ends at hi == lambda* and the reduced optimum lies above it
+    probes += _check_reduction(
+        random_tree(14, seed=2642598), 8, SolverConfig(mode="continuous", r=4)
+    )
+    print(
+        f"\nACCEPTANCE 8 leaf-stem reduction is faithful inside the bracket "
+        f"(201 trees, {probes} probes): PASS"
+    )
 
 
 def test_criterion_9_scaling_report(tmp_path):

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import treecenter
 import treecenter.cli as cli
 import treecenter.solver as solver_mod
 from treecenter.solver import SolveResult
@@ -145,3 +149,28 @@ def test_gen_roundtrip(tmp_path, capsys):
 
 def test_usage_error():
     assert cli.main(["solve"]) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--sizes", "32", "--repeats", "0"], "error: repeats must be at least 1"),
+    (["bench", "--sizes", "0"], "error: sizes must be at least 1"),
+    (["gen", "--n", "0"], "error: n must be at least 1"),
+    (["verify", "--seeds", "1..2", "--nmax", "1"], "error: nmax must be at least 2"),
+    (["verify", "--seeds", "3..1"], "error: empty seed range"),
+], ids=["bench-repeats-0", "bench-sizes-0", "gen-n-0", "verify-nmax-1", "verify-seeds-3..1"])
+def test_bad_parameters_exit_usage(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(treecenter.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecenter.cli", "gen", "--n", "3", "--k", "1"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "3 1"

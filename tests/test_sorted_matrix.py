@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from treecenter.sorted_matrix import LambdaRange, SortedMatrix, msearch
+from treecenter.stems import Stem, stem_arrays_discrete
 
 
 def dense(rows):
@@ -67,6 +68,24 @@ def _pool_values(mats):
     return out
 
 
+def make_ragged(rng, hi=1000):
+    """1-row arrays of random lengths, each nonincreasing."""
+    return [
+        [sorted((rng.randint(0, hi) for _ in range(rng.randint(1, 20))), reverse=True)]
+        for _ in range(rng.randint(1, 6))
+    ]
+
+
+def make_zero_padded(rng, m, hi=1000):
+    """m x m rows shaped like the continuous stem matrix: row i holds m - i
+    nonincreasing values, then zeros. Columns carry no order."""
+    rows = []
+    for i in range(m):
+        vals = sorted((rng.randint(1, hi) for _ in range(m - i)), reverse=True)
+        rows.append(vals + [0] * i)
+    return rows
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_c0_lands_on_smallest_feasible(seed):
     rng0 = random.Random(seed)
@@ -75,6 +94,8 @@ def test_c0_lands_on_smallest_feasible(seed):
         r = rng0.randint(1, 12)
         c = rng0.randint(r, 16)
         mats.append(dense(make_sorted(rng0, r, c)))
+    mats.extend(dense(rows) for rows in make_ragged(rng0))
+    mats.append(dense(make_zero_padded(rng0, rng0.randint(1, 12))))
     values = sorted(set(_pool_values(mats)))
     theta = values[rng0.randrange(len(values))]
     rng = LambdaRange(min(values) - 1, max(values) + 1)
@@ -107,6 +128,10 @@ def test_remaining_per_matrix_with_positive_c():
     assert res.remaining <= 5
     assert sum(res.remaining_per_matrix) == res.remaining
     assert len(res.remaining_per_matrix) == 6
+    # a matrix with nothing left has no value strictly inside the bracket
+    for mat, rem in zip(mats, res.remaining_per_matrix):
+        if rem == 0:
+            assert not any(rng.contains_open(v) for v in _pool_values([mat]))
 
 
 def test_wide_matrices_and_transposed():
@@ -145,3 +170,41 @@ def test_exact_fractions():
     rng = LambdaRange(Fraction(0), Fraction(100))
     msearch([dense(rows)], rng, 0, threshold_tester(Fraction(5, 4)))
     assert rng.hi == Fraction(5, 4)
+
+
+def test_discrete_stem_pool_evaluation_budget():
+    # the 1-row arrays of a 200-vertex path stem: A = 400 arrays holding
+    # N = 40,200 elements; each round evaluates one middle per active row
+    rng0 = random.Random(3)
+    xs, x = [], 0
+    for _ in range(200):
+        xs.append(Fraction(x))
+        x += rng0.randint(1, 50)
+    stem = Stem(
+        backbone=list(range(200)),
+        x=xs,
+        weights=[Fraction(rng0.randint(1, 10**6)) for _ in range(200)],
+        thorns={},
+        twigs={},
+        own_top=True,
+    )
+    mats, _ = stem_arrays_discrete(stem)
+    values = sorted(set(_pool_values(mats)))
+    n_arrays, n_elems = len(mats), sum(m.cols for m in mats)
+    assert (n_arrays, n_elems) == (400, 40200)
+    evals = 0
+
+    def counted(ev):
+        def f(i, j):
+            nonlocal evals
+            evals += 1
+            return ev(i, j)
+
+        return f
+
+    pool = [SortedMatrix(m.rows, m.cols, counted(m.eval), m.owner) for m in mats]
+    theta = values[len(values) // 3]
+    rng = LambdaRange(-1, values[-1] + 1)
+    msearch(pool, rng, 0, threshold_tester(theta))
+    assert rng.hi == theta
+    assert evals <= 2 * n_arrays * math.log2(n_elems)
