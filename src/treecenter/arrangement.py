@@ -12,11 +12,25 @@ that bracket (`compute_ranks`).
 Horizontal lines have no sweep position; a zero-slope line carries a
 `bias` (+1 or -1) that places it at +infinity or -infinity in rank
 orders, the limit of its family as the slope tends to zero.
+
+Exact scalars (anything but `float`) are ordered at a level y through a
+float filter (Shewchuk 1997; Fortune & Van Wyk 1993): the lines are sorted
+by the float key (fy - fb) / fa of their sweep position x = (y - b) / a,
+which is off by at most 2**-50 * (|fy| + |fb|) / |fa| plus an underflow
+term. Lines whose error intervals chain together form a group, and only
+groups of two or more are sorted by the exact key. Outside a group the
+intervals are disjoint, so the float order is the exact one, and the
+result equals the all-exact sort element for element. A pass falls back
+to the all-exact sort when some value has no normal float copy (it
+overflows, or a nonzero value becomes 0 or subnormal), where the bound
+does not hold. Float runs sort by their own keys as before.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .scalars import midpoint
@@ -51,10 +65,79 @@ def _end_key(end, below_on_tie: bool):
     return lambda ln: ((y - ln.b) / ln.a, sgn * _inv(ln.a))
 
 
-def _order(nonh, end, below_on_tie):
+def _order(nonh, fl, end, below_on_tie):
+    """Indices of `nonh` in left-to-right order at a band end; `fl` holds
+    their float copies (`_float_lines`) or is None."""
+    filtered = fl is not None and end[0] == "val"
+    if filtered:
+        end = ("val", Fraction(end[1]), end[2])  # ints would divide to floats
     key = _end_key(end, below_on_tie)
-    idx = list(range(len(nonh)))
-    idx.sort(key=lambda i: key(nonh[i]) + (i,))
+
+    def full_key(i):
+        return key(nonh[i]) + (i,)
+
+    idx = _filtered_order(fl, end[1], full_key) if filtered else None
+    if idx is None:
+        idx = sorted(range(len(nonh)), key=full_key)
+    return idx
+
+
+# Relative error bound of the float sweep key, c * u with u = 2**-53 and c = 8:
+# the three input conversions and the two operations of (fy - fb) / fa
+# contribute at most about 4u * (|y| + |b|) / |a|; the margin covers the
+# rounding of the bound itself. _TINY covers underflow of the last division.
+_REL = 2.0 ** -50
+_TINY = 2.0 ** -1060
+
+
+def _to_float(v):
+    """float(v), or None when v has no normal float copy: it overflows, or
+    it is nonzero and becomes 0 or subnormal."""
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    if abs(f) < 2.2250738585072014e-308 and v != 0:
+        return None
+    return f
+
+
+def _float_lines(nonh):
+    """(fa, fb, |fa|, |fb|) of every non-horizontal line, or None when the
+    lines are floats or some slope or intercept has no normal float copy."""
+    fl = []
+    for ln in nonh:
+        if isinstance(ln.a, float) or isinstance(ln.b, float):
+            return None
+        fa, fb = _to_float(ln.a), _to_float(ln.b)
+        if fa is None or fb is None:
+            return None
+        fl.append((fa, fb, abs(fa), abs(fb)))
+    return fl
+
+
+def _filtered_order(fl, y, exact_key):
+    """Indices of the lines of `fl` sorted by exact_key(i), whose first
+    component is the sweep position at level y; None when y has no normal
+    float copy or the error bound overflows."""
+    fy = _to_float(y)
+    if fy is None:
+        return None
+    ay = abs(fy)
+    xs = [(fy - fb) / fa for fa, fb, _, _ in fl]
+    errs = [(ay + afb) / afa * _REL + _TINY for _, _, afa, afb in fl]
+    if not math.isfinite(max(errs, default=0.0)):
+        return None
+    idx = sorted(range(len(fl)), key=xs.__getitem__)
+    # positions p < q lie in different groups when every interval from q on
+    # starts above every interval up to p; then x_p < x_q exactly
+    reach = list(accumulate([xs[i] + errs[i] for i in idx], max))
+    floor = list(accumulate([xs[i] - errs[i] for i in reversed(idx)], min))[::-1]
+    cuts = [0] + [p for p in range(1, len(idx)) if floor[p] > reach[p - 1]]
+    cuts.append(len(idx))
+    for s, t in zip(cuts, cuts[1:]):
+        if t - s > 1:
+            idx[s:t] = sorted(idx[s:t], key=exact_key)
     return idx
 
 
@@ -106,21 +189,27 @@ def _horiz_in_band(b, lo_end, hi_end) -> bool:
     return True
 
 
-def _band(lines, lo_end, hi_end, rand=None):
-    """(crossing-pair count in the band, one uniform pair or None).
+def _split(lines):
+    """(non-horizontal lines, their float copies or None, horizontal lines)."""
+    nonh, horiz = [], []
+    for ln in lines:
+        (nonh if ln.a != 0 else horiz).append(ln)
+    return nonh, _float_lines(nonh), horiz
+
+
+def _band(nonh, fl, horiz, lo_end, hi_end, rand=None):
+    """(crossing-pair count in the band, one uniform pair or None) of the
+    lines `_split` returned.
 
     The ends control whether crossings exactly at a "val" level count.
     """
-    nonh = [ln for ln in lines if ln.a != 0]
-    horiz = [ln for ln in lines if ln.a == 0]
-
     inv_count = 0
     inv_sample = None
     if len(nonh) >= 2:
         lo_tie_below = lo_end[0] == "val" and lo_end[2]
         hi_tie_below = hi_end[0] == "val" and not hi_end[2]
-        order_lo = _order(nonh, lo_end, lo_tie_below)
-        order_hi = _order(nonh, hi_end, hi_tie_below)
+        order_lo = _order(nonh, fl, lo_end, lo_tie_below)
+        order_hi = _order(nonh, fl, hi_end, hi_tie_below)
         pos_hi = [0] * len(nonh)
         for p, i in enumerate(order_hi):
             pos_hi[i] = p
@@ -152,7 +241,7 @@ def crossing_point(l1: Line, l2: Line):
 
 def count_vertices_at_or_below(lines, lam) -> int:
     """Number of crossing pairs with y <= lam; parallel pairs contribute none."""
-    return _band(lines, ("ninf",), ("val", lam, True))[0]
+    return _band(*_split(lines), ("ninf",), ("val", lam, True))[0]
 
 
 def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
@@ -169,11 +258,11 @@ def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
     arithmetic can disagree with the sweep-order keys by rounding, so the
     loop carries stall fuel and settles for the current bracket when spent.
     """
-    lines = list(lines)
+    split = _split(lines)
     fuel = 64
     while True:
         cnt, pair = _band(
-            lines, ("val", rng.lo, False), ("val", rng.hi, False), rand
+            *split, ("val", rng.lo, False), ("val", rng.hi, False), rand
         )
         if cnt == 0:
             return
@@ -197,18 +286,23 @@ def compute_ranks(lines, rng: LambdaRange, strict: bool = True) -> dict:
     `strict=False` skips the interior check; float runs cannot always
     empty the band exactly and settle for the midpoint order.
     """
-    lines = list(lines)
-    if strict and _band(lines, ("val", rng.lo, False), ("val", rng.hi, False))[0] != 0:
+    nonh, fl, horiz = split = _split(lines)
+    if strict and _band(*split, ("val", rng.lo, False), ("val", rng.hi, False))[0] != 0:
         raise RankContractError("range interior contains arrangement vertices")
     lam = midpoint(rng.lo, rng.hi)
+    if fl is not None:
+        lam = Fraction(lam)  # ints would divide to floats
 
-    def key(ln: Line):
-        if ln.a == 0:
-            group = 1 if ln.bias > 0 else -1
-            return (group, 0, ln.a, _tagkey(ln.tag))
-        return (0, (lam - ln.b) / ln.a, ln.a, _tagkey(ln.tag))
+    def key(i):
+        ln = nonh[i]
+        return ((lam - ln.b) / ln.a, ln.a, _tagkey(ln.tag), i)
 
-    ordered = sorted(lines, key=key)
+    order = None if fl is None else _filtered_order(fl, lam, key)
+    if order is None:
+        order = sorted(range(len(nonh)), key=key)
+    horiz.sort(key=lambda ln: _tagkey(ln.tag))
+    ordered = ([ln for ln in horiz if ln.bias <= 0] + [nonh[i] for i in order]
+               + [ln for ln in horiz if ln.bias > 0])
     return {ln.tag: i + 1 for i, ln in enumerate(ordered)}
 
 

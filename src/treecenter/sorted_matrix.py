@@ -82,12 +82,13 @@ def msearch(matrices, rng: LambdaRange, c: int, tester) -> MSearchResult:
     """Discard all but at most c pool elements, narrowing `rng` in place.
 
     `tester` is a monotone predicate lam -> bool called only on values
-    strictly inside the current open interval. Each round evaluates the
-    middle element of every active interval, resolves their weighted median
-    (weight = interval length), and drops the half of each interval that the
-    bracket now excludes; at least a quarter of the active elements go per
-    round, so there are O(log N) rounds and one evaluation per active row
-    per round.
+    strictly inside the current open interval. Rows wholly outside the
+    bracket are dropped first, for at most two evaluations each. Each round
+    evaluates the middle element of every active interval, resolves their
+    weighted median (weight = interval length), and drops the half of each
+    interval that the bracket now excludes; at least a quarter of the active
+    elements go per round, so there are O(log N) rounds and one evaluation
+    per active row per round.
     """
     if c < 0:
         raise ValueError("stopping count must be nonnegative")
@@ -103,6 +104,17 @@ def msearch(matrices, rng: LambdaRange, c: int, tester) -> MSearchResult:
               for idx, m in enumerate(matrices) if m.cols > 0
               for i in range(m.rows)]
     remaining = sum(e for *_, e in active)
+    if remaining > c:
+        # a row whose first value is <= lo or whose last is >= hi holds
+        # nothing inside the bracket
+        kept = []
+        for row in active:
+            _, ev, i, _, e = row
+            first = ev(i, 0)
+            if first > rng.lo and (first if e == 1 else ev(i, e - 1)) < rng.hi:
+                kept.append(row)
+        active = kept
+        remaining = sum(e for *_, e in active)
     while remaining > c:
         mids = [ev(i, (s + e) // 2) for _, ev, i, s, e in active]
         rng.resolve(counted, _weighted_median(

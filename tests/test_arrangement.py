@@ -6,6 +6,10 @@ import pytest
 from treecenter.arrangement import (
     Line,
     RankContractError,
+    _float_lines,
+    _order,
+    _split,
+    _to_float,
     compute_ranks,
     count_vertices_at_or_below,
     crossing_point,
@@ -231,3 +235,126 @@ def test_one_band_pass_per_test_plus_the_last(monkeypatch):
         arrangement.find_boundary_vertices(lines, band, tester, r)
         assert calls >= 1
         assert passes == calls + 1
+
+
+# -- the float filter of exact sweep orders ---------------------------------
+
+
+def near_tie_lines(rng, m):
+    # intercepts around 2**60 that differ by 1: equal floats, distinct keys
+    return [
+        Line(Fraction(rng.choice([-3, -1, 1, 2, 3]), rng.randint(1, 3)),
+             Fraction(2**60 + rng.randint(-2, 2)), t, bias=1 if t % 2 else -1)
+        for t in range(m)
+    ]
+
+
+def wide_error_lines(rng, m):
+    # slopes from 1e-6 to 9 give error bounds of very different widths: a
+    # later key in float order can still tie an earlier one
+    return [
+        Line(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1000, 10**6])),
+             Fraction(2**60 + rng.randint(-2**12, 2**12)), t, bias=1 if t % 2 else -1)
+        for t in range(m)
+    ]
+
+
+def common_crossing_lines(rng, m):
+    # most lines pass through (1/3, 7/2); the rest are random
+    x0, y0 = Fraction(1, 3), Fraction(7, 2)
+    lines = []
+    for t in range(m):
+        a = Fraction(rng.choice([-1, 1]) * (t + 1), rng.randint(1, 3))
+        b = y0 - a * x0 if t < m - 3 else Fraction(rng.randint(-30, 30), 2)
+        lines.append(Line(a, b, t, bias=1 if t % 2 else -1))
+    return lines
+
+
+def horizontal_lines(rng, m):
+    return [
+        Line(Fraction(0) if t % 2 else Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
+             Fraction(rng.randint(-8, 8)), t, bias=1 if t % 4 == 1 else -1)
+        for t in range(m)
+    ]
+
+
+def scaled_lines(rng, m, scale):
+    return [
+        Line(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
+             Fraction(scale) * rng.randint(-30, 30) + rng.randint(-2, 2), t,
+             bias=1 if t % 2 else -1)
+        for t in range(m)
+    ]
+
+
+FILTER_CASES = {
+    "random": lambda r: random_lines(r, 14),
+    "near-ties": lambda r: near_tie_lines(r, 12),
+    "wide-errors": lambda r: wide_error_lines(r, 12),
+    "common-crossing": lambda r: common_crossing_lines(r, 10),
+    "horizontal": lambda r: horizontal_lines(r, 12),
+    "overflow": lambda r: scaled_lines(r, 10, 10**400),
+    "underflow": lambda r: [ln._replace(b=ln.b / 10**400)
+                            for ln in scaled_lines(r, 10, 1)],
+}
+
+
+def _levels(lines):
+    ys = sorted({v[0] for v in enumerate_arrangement_vertices(lines)})
+    return [ys[0] - 1] + ys + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + 1]
+
+
+def _exact_ranks(lines, lam):
+    def key(ln):
+        if ln.a == 0:
+            return (1 if ln.bias > 0 else -1, 0, 0, ln.tag)
+        return (0, (lam - ln.b) / ln.a, ln.a, ln.tag)
+
+    return {ln.tag: i + 1 for i, ln in enumerate(sorted(lines, key=key))}
+
+
+@pytest.mark.parametrize("case", sorted(FILTER_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_filtered_order_equals_exact_sort(case, seed):
+    lines = FILTER_CASES[case](random.Random(f"{case}/{seed}"))
+    nonh, fl, _ = _split(lines)
+    assert (fl is None) == (case in ("overflow", "underflow"))
+    for y in _levels(lines):
+        for below in (False, True):
+            sgn = -1 if below else 1
+            want = sorted(range(len(nonh)), key=lambda i: (
+                (y - nonh[i].b) / nonh[i].a, sgn / nonh[i].a, i))
+            assert _order(nonh, fl, ("val", y, False), below) == want
+        got = compute_ranks(lines, LambdaRange(y - 1, y + 1), strict=False)
+        assert got == _exact_ranks(lines, y)
+
+
+def test_unrepresentable_values_take_the_fallback():
+    assert _to_float(10**400) is None
+    assert _to_float(Fraction(1, 10**400)) is None
+    assert _to_float(Fraction(-3, 2**1070)) is None  # subnormal
+    assert _to_float(0) == 0.0 and _to_float(Fraction(3, 2)) == 1.5
+    assert _float_lines([L(1, 2, 0), Line(1.0, 2.0, 1)]) is None  # float runs
+    # normal lines at a level without a normal float copy
+    nonh = [L(1, 0, 0), L(-1, 0, 1), L(2, 1, 2)]
+    fl = _float_lines(nonh)
+    assert fl is not None
+    y = Fraction(10**400)
+    want = sorted(range(3), key=lambda i: ((y - nonh[i].b) / nonh[i].a, 1 / nonh[i].a, i))
+    assert _order(nonh, fl, ("val", y, False), False) == want
+
+
+@pytest.mark.parametrize("case", sorted(FILTER_CASES))
+def test_filter_cases_match_oracle(case):
+    r = random.Random(f"oracle/{case}")
+    for _ in range(4):
+        lines = FILTER_CASES[case](r)
+        ys = sorted({v[0] for v in enumerate_arrangement_vertices(lines)})
+        theta = r.choice(ys)
+        tester = threshold(theta)
+        want1, want2 = oracle_arrangement(lines, tester)
+        band = LambdaRange(ys[0] - 1, ys[-1] + 1)
+        find_boundary_vertices(lines, band, tester, r)
+        assert band.hi == want1[1] == theta
+        assert band.lo == (ys[0] - 1 if want2 is None else want2[1])
+        assert compute_ranks(lines, band) == _exact_ranks(lines, (band.lo + band.hi) / 2)

@@ -318,3 +318,36 @@ def test_default_r():
     assert default_r(2) == 1
     assert default_r(200) == 64
     assert default_r(4) == 4
+
+
+def test_float_filter_is_a_pure_speedup(monkeypatch):
+    # the exact arrangement orders sort by float keys first; with the float
+    # conversion failing every pass takes the all-Fraction sort instead,
+    # and every tested lambda and every optimum must be the same
+    import treecenter.arrangement as arrangement
+
+    filtered = 0
+    real_filtered_order = arrangement._filtered_order
+
+    def counted(*args):
+        nonlocal filtered
+        out = real_filtered_order(*args)
+        filtered += out is not None
+        return out
+
+    cases = [
+        (random_tree(72, seed=seed, weight_range=(0, 10**6), shape=shape), 72 // 10, mode)
+        for seed, shape in ((5, "path"), (6, "path"), (7, "caterpillar"), (8, "caterpillar"))
+        for mode in ("continuous", "discrete")
+    ]
+    monkeypatch.setattr(arrangement, "_filtered_order", counted)
+    runs = [solve(tree, k, SolverConfig(mode=mode, record_tests=True))
+            for tree, k, mode in cases]
+    assert filtered > 0
+    monkeypatch.setattr(arrangement, "_to_float", lambda value: None)
+    filtered = 0
+    for (tree, k, mode), res in zip(cases, runs):
+        ref = solve(tree, k, SolverConfig(mode=mode, record_tests=True))
+        assert res.tested == ref.tested
+        assert res.lambda_star == ref.lambda_star
+    assert filtered == 0

@@ -208,3 +208,30 @@ def test_discrete_stem_pool_evaluation_budget():
     msearch(pool, rng, 0, threshold_tester(theta))
     assert rng.hi == theta
     assert evals <= 2 * n_arrays * math.log2(n_elems)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_rows_outside_the_bracket_cost_at_most_two_evaluations(side):
+    # continuous-style zero-padded matrices plus 1-element rows, every value
+    # >= hi (or <= lo): no test is made and no row is searched
+    rng0 = random.Random(11)
+    rows_list = [make_zero_padded(rng0, m) for m in (1, 5, 16, 16)]
+    rows_list.append([[rng0.randint(1, 1000)] for _ in range(6)])
+    evals = 0
+
+    def counted(rows):
+        def f(i, j):
+            nonlocal evals
+            evals += 1
+            return rows[i][j]
+
+        return f
+
+    pool = [SortedMatrix(len(r), len(r[0]), counted(r)) for r in rows_list]
+    n_rows = sum(m.rows for m in pool)
+    rng = LambdaRange(-1, 0) if side == "above" else LambdaRange(1000, 1001)
+    calls = []
+    res = msearch(pool, rng, 0, threshold_tester(500, calls))
+    assert calls == [] and res.tester_calls == 0
+    assert res.remaining == 0
+    assert evals <= 2 * n_rows
