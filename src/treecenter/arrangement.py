@@ -44,7 +44,7 @@ class Line(NamedTuple):
     bias: int = 0  # only meaningful when a == 0
 
 
-# Band ends: ("ninf",) | ("pinf",) | ("val", y, include_crossings_at_y)
+# Band ends: ("ninf",) | ("val", y, include_crossings_at_y)
 
 
 def _inv(a):
@@ -55,11 +55,8 @@ def _inv(a):
 
 def _end_key(end, below_on_tie: bool):
     """Sort key function for non-horizontal lines at a band end."""
-    kind = end[0]
-    if kind == "ninf":
+    if end[0] == "ninf":
         return lambda ln: (-_inv(ln.a), -ln.b / ln.a)
-    if kind == "pinf":
-        return lambda ln: (_inv(ln.a), -ln.b / ln.a)
     y = end[1]
     sgn = -1 if below_on_tie else 1
     return lambda ln: ((y - ln.b) / ln.a, sgn * _inv(ln.a))

@@ -156,13 +156,15 @@ def ftest0(
     lam,
     k: int,
     *,
+    discrete: bool = False,
     want_partition: bool = False,
     defer_root: bool = False,
 ) -> FeasibilityOutcome:
-    """Continuous feasibility test: minimum greedy center count vs k."""
+    """Feasibility test: minimum greedy center count vs k, with centers
+    anywhere on the edges, or only at vertices when `discrete`."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    out = _scan(rooted, lam, discrete=False, defer_root=defer_root)
+    out = _scan(rooted, lam, discrete=discrete, defer_root=defer_root)
     out.feasible = out.count <= k
     if want_partition:
         _assign_weightless(rooted, out.assignment)
@@ -177,14 +179,10 @@ def dftest0(
     want_partition: bool = False,
     defer_root: bool = False,
 ) -> FeasibilityOutcome:
-    """Discrete feasibility test: centers restricted to vertices."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    out = _scan(rooted, lam, discrete=True, defer_root=defer_root)
-    out.feasible = out.count <= k
-    if want_partition:
-        _assign_weightless(rooted, out.assignment)
-    return out
+    """Discrete feasibility test: `ftest0` with centers restricted to vertices."""
+    return ftest0(
+        rooted, lam, k, discrete=True, want_partition=want_partition, defer_root=defer_root
+    )
 
 
 def ftest0_feasible(rooted: RootedTree, lam, k: int, discrete: bool = False) -> bool:
@@ -223,39 +221,3 @@ def ftest0_feasible(rooted: RootedTree, lam, k: int, discrete: bool = False) -> 
     if sup[root] > dem[root]:
         count += 1
     return count <= k
-
-
-def coverage_radius(outcome: FeasibilityOutcome, rooted: RootedTree):
-    """Max over vertices of w(v) * distance to the assigned center (validation aid).
-
-    Quadratic in the worst case; meant for tests and small instances.
-    """
-    from .tree import path_distance
-
-    tree = rooted.tree
-    worst = 0
-    for v in range(tree.n):
-        if tree.weights[v] == 0:
-            continue
-        cidx = outcome.assignment[v]
-        if cidx is None:
-            return INF
-        c = outcome.centers[cidx]
-        if c.vertex is not None:
-            dist = path_distance(tree, v, c.vertex)
-        else:
-            # the center sits at `offset` from u on edge (u, p); reach it
-            # through whichever endpoint is cheaper
-            u, p = c.edge
-            du = path_distance(tree, v, u)
-            dp = path_distance(tree, v, p)
-            elen = None
-            for a, b, length in tree.edges:
-                if {a, b} == {u, p}:
-                    elen = length
-                    break
-            dist = min(du + c.offset, dp + (elen - c.offset))
-        val = tree.weights[v] * dist
-        if val > worst:
-            worst = val
-    return worst

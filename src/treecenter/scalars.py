@@ -112,8 +112,3 @@ INF_LOW = Ext(+1, 0)
 # Above every other infinity; stands in for values whose referent (a twig
 # that does not exist) is missing, so comparisons against it always fail.
 INF_HIGH = Ext(+1, 2)
-NEG_INF = Ext(-1, 0)
-
-
-def is_finite(x) -> bool:
-    return not isinstance(x, Ext)

@@ -314,7 +314,7 @@ class _Session:
             for v in range(tree.n)
         ]
         self.working = WorkingTree(tree, rooted, self.discrete)
-        self.cur_rooted, _ = self.working.materialize()
+        self.cur_rooted = self.working.materialize()
         find_boundary_vertices(lines, self.range, self.base_tester(), self.rand)
         self.ranks = compute_ranks(lines, self.range, strict=self.exact)
 
@@ -360,7 +360,7 @@ class _Session:
                     lpool.extend(stem_lines(st, stem_id=si))
                 find_boundary_vertices(lpool, self.range, self.base_tester(), self.rand)
             self._reduce(chosen, self.base_tester())
-            self.cur_rooted, _ = self.working.materialize()
+            self.cur_rooted = self.working.materialize()
 
     def _reduce(self, stems, tester):
         post = postprocess_discrete if self.discrete else postprocess_continuous
@@ -378,20 +378,21 @@ class _Session:
     # -- phase 1 -----------------------------------------------------------------
     def phase1(self):
         self.phase = "phase1"
+        if not self.config.use_phase1:
+            self.fast = _FallbackFeasibility(
+                self.working.materialize(),
+                self.k_work,
+                self.range.lo,
+                self.range.hi,
+                self.discrete,
+            )
+            return
         n = self.tree.n
         r = max(2, self.config.r or default_r(n))
         subs = []
         for stem in self.working.stems():
             subs.extend(_chop(stem, r))
         children, order, root_index = _stem_tree(subs, self.working.root)
-
-        if not self.config.use_phase1:
-            rooted, _ = self.working.materialize()
-            k = self.k_work
-            lo, hi = self.range.lo, self.range.hi
-            discrete = self.discrete
-            self.fast = _FallbackFeasibility(rooted, k, lo, hi, discrete)
-            return
 
         if self.discrete:
             pool = []

@@ -19,10 +19,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .arrangement import Line
-from .feasibility import dftest0, ftest0
+from .feasibility import ftest0
 from .sorted_matrix import SortedMatrix
 from .sublist_lp import EnvelopeIndex, HalfPlane
-from .tree import RootedTree, Tree
+from .tree import RootedTree, Tree, path_distance
 
 
 class StemContractError(RuntimeError):
@@ -69,10 +69,6 @@ class Stem:
     @property
     def m(self) -> int:
         return len(self.backbone)
-
-    def owned_positions(self):
-        hi = self.m if self.own_top else self.m - 1
-        return range(hi)
 
 
 @dataclass
@@ -211,28 +207,9 @@ class WorkingTree:
         return extra
 
     # -- materialization ---------------------------------------------------
-    def materialize(self):
-        """Rooted tree over the current vertices and attachments.
-
-        Returns (rooted, to_orig) where to_orig maps local ids back to
-        original vertex ids.
-        """
-        locals_ = sorted(self.alive)
-        extra = []
-        for v in sorted(self.thorn):
-            extra.append(self.thorn[v].tag)
-        for v in sorted(self.twig):
-            tw = self.twig[v]
-            if isinstance(tw, DiscTwig):
-                extra.append(tw.bud_tag)
-                if tw.tag == tw.bud_tag:
-                    continue  # bud-only twig: the forced center binds itself
-            extra.append(tw.tag)
-        to_orig = locals_ + extra
-        index = {orig: i for i, orig in enumerate(to_orig)}
-        weights = []
-        for orig in to_orig:
-            weights.append(self.weights[orig])
+    def materialize(self) -> RootedTree:
+        """Rooted tree over the current vertices and attachments."""
+        base = sorted(self.alive)
         edges = []
         seen = set()
         for v in self.alive:
@@ -240,18 +217,64 @@ class WorkingTree:
                 key = (min(u, v), max(u, v))
                 if key not in seen:
                     seen.add(key)
-                    edges.append((index[u], index[v], length))
-        for v, th in self.thorn.items():
-            edges.append((index[v], index[th.tag], th.length))
-        for v, tw in self.twig.items():
-            if isinstance(tw, DiscTwig):
-                edges.append((index[v], index[tw.bud_tag], tw.bud_len))
-                if tw.tag != tw.bud_tag:
-                    edges.append((index[tw.bud_tag], index[tw.tag], tw.twig_len))
-            else:
-                edges.append((index[v], index[tw.tag], tw.length))
-        tree = Tree(n=len(to_orig), weights=tuple(weights), edges=tuple(edges))
-        return RootedTree(tree, index[self.root]), to_orig
+                    edges.append((u, v, length))
+        attachments = sorted(self.thorn.items()) + sorted(self.twig.items())
+        rooted, _ = attached_tree(
+            base, [self.weights[v] for v in base], edges, attachments, self.root
+        )
+        return rooted
+
+
+# ----------------------------------------------------------------------
+# Trees with attachments
+
+
+def attached_tree(base, weights, edges, attachments, root) -> tuple:
+    """A rooted tree over base vertices plus one attachment per pair.
+
+    `base` lists original vertex ids with their `weights`; `edges` are
+    (u, v, length) triples and `root` an id, all in original ids.
+    `attachments` are (anchor, attachment) pairs: a Thorn or ContTwig hangs
+    its vertex off the anchor, a DiscTwig its bud and then, unless the bud
+    is the twig vertex, its twig vertex off the bud. Local ids follow
+    `base`, then the attachment vertices in pair order. Returns
+    (rooted, to_orig), to_orig mapping local ids back to original ids.
+    """
+    to_orig = list(base)
+    weights = list(weights)
+    edges = list(edges)
+    for anchor, att in attachments:
+        if isinstance(att, DiscTwig):
+            to_orig.append(att.bud_tag)
+            weights.append(att.bud_weight)
+            edges.append((anchor, att.bud_tag, att.bud_len))
+            if att.tag == att.bud_tag:
+                continue  # bud-only twig: the forced center binds itself
+            anchor, length = att.bud_tag, att.twig_len
+        else:
+            length = att.length
+        to_orig.append(att.tag)
+        weights.append(att.weight)
+        edges.append((anchor, att.tag, length))
+    index = {orig: i for i, orig in enumerate(to_orig)}
+    tree = Tree(
+        n=len(to_orig),
+        weights=tuple(weights),
+        edges=tuple((index[u], index[v], length) for u, v, length in edges),
+    )
+    return RootedTree(tree, index[root]), to_orig
+
+
+def stem_tree(stem: Stem) -> tuple:
+    """The stem with its attachments as a tree rooted at its top vertex:
+    (rooted, to_orig), as `attached_tree` returns them."""
+    bb = stem.backbone
+    edges = [(bb[p], bb[p + 1], stem.x[p + 1] - stem.x[p]) for p in range(stem.m - 1)]
+    attachments = [
+        (bb[p], att)
+        for p, att in sorted(stem.thorns.items()) + sorted(stem.twigs.items())
+    ]
+    return attached_tree(bb, stem.weights, edges, attachments, bb[-1])
 
 
 # ----------------------------------------------------------------------
@@ -387,75 +410,15 @@ def stem_arrays_discrete(stem: Stem):
 
 
 # ----------------------------------------------------------------------
-# Stem materialization and post-processing
+# Post-processing
 
 
-class _StemTree:
-    """A stem as a rooted tree (root = top vertex), with coordinates."""
-
-    def __init__(self, stem: Stem, weights_src: dict = None):
-        self.stem = stem
-        ids = list(stem.backbone)
-        weights = list(stem.weights)
-        coords = [("b", p, 0) for p in range(stem.m)]  # (chain kind, pos, offset)
-        for p, th in stem.thorns.items():
-            ids.append(th.tag)
-            weights.append(th.weight)
-            coords.append(("t", p, th.length))
-        self.bud_tags = set()
-        for p, tw in stem.twigs.items():
-            if isinstance(tw, DiscTwig):
-                ids.append(tw.bud_tag)
-                weights.append(tw.bud_weight)
-                coords.append(("w", p, tw.bud_len))
-                self.bud_tags.add(tw.bud_tag)
-                if tw.tag != tw.bud_tag:
-                    ids.append(tw.tag)
-                    weights.append(tw.weight)
-                    coords.append(("w", p, tw.bud_len + tw.twig_len))
-            else:
-                ids.append(tw.tag)
-                weights.append(tw.weight)
-                coords.append(("w", p, tw.length))
-        self.ids = ids
-        self.coords = coords
-        self.index = {orig: i for i, orig in enumerate(ids)}
-        edges = []
-        for p in range(stem.m - 1):
-            edges.append((p, p + 1, stem.x[p + 1] - stem.x[p]))
-        for p, th in sorted(stem.thorns.items()):
-            edges.append((p, self.index[th.tag], th.length))
-        for p, tw in sorted(stem.twigs.items()):
-            if isinstance(tw, DiscTwig):
-                b = self.index[tw.bud_tag]
-                edges.append((p, b, tw.bud_len))
-                if tw.tag != tw.bud_tag:
-                    edges.append((b, self.index[tw.tag], tw.twig_len))
-            else:
-                edges.append((p, self.index[tw.tag], tw.length))
-        tree = Tree(n=len(ids), weights=tuple(weights), edges=tuple(edges))
-        self.rooted = RootedTree(tree, stem.m - 1)
-
-    def dist(self, a: int, b: int):
-        """Distance between two local vertices inside the stem."""
-        ka, pa, oa = self.coords[a]
-        kb, pb, ob = self.coords[b]
-        if pa == pb:
-            if ka == kb:
-                return oa - ob if oa > ob else ob - oa
-            return oa + ob
-        xa, xb = self.stem.x[pa], self.stem.x[pb]
-        gap = xa - xb if xa > xb else xb - xa
-        return oa + gap + ob
-
-    def dist_to_top(self, a: int):
-        return self.dist(a, self.stem.m - 1)
-
-
-def _emit_common(stree: _StemTree, out, ranks, discrete: bool):
-    """Pick the replacement from a deferred-root scan outcome."""
-    stem = stree.stem
+def _emit_common(stem: Stem, rooted: RootedTree, ids: list, out, ranks, discrete: bool):
+    """Pick the replacement from a deferred-root scan outcome over
+    `stem_tree(stem)`, whose root distances are distances to the top."""
     zloc = stem.m - 1
+    weights = rooted.tree.weights
+    buds = {tw.bud_tag for tw in stem.twigs.values()} if discrete else ()
     covered = out.sup_root <= out.dem_root
     if covered and out.count == 0:
         return Replacement(kind="none", centers_used=0)
@@ -466,37 +429,27 @@ def _emit_common(stree: _StemTree, out, ranks, discrete: bool):
         if discrete:
             # old buds cannot anchor the new twig, but the center vertex
             # itself can when its own slack binds the placement
-            members = [v for v in members if stree.ids[v] not in stree.bud_tags]
-            members.append(out.centers[qidx].vertex)
-        u = max(members, key=lambda v: ranks[stree.ids[v]])
-        if discrete:
             qloc = out.centers[qidx].vertex  # scan ids are stem-local
+            members = [v for v in members if ids[v] not in buds]
+            members.append(qloc)
+        u = max(members, key=lambda v: ranks[ids[v]])
+        if discrete:
             att = DiscTwig(
-                bud_tag=stree.ids[qloc],
-                bud_len=stree.dist_to_top(qloc),
-                tag=stree.ids[u],
-                twig_len=stree.dist(qloc, u),
-                weight=stree.rooted.tree.weights[u],
-                bud_weight=stree.rooted.tree.weights[qloc],
+                bud_tag=ids[qloc],
+                bud_len=rooted.rootdist[qloc],
+                tag=ids[u],
+                twig_len=path_distance(rooted.tree, qloc, u),
+                weight=weights[u],
+                bud_weight=weights[qloc],
             )
         else:
-            att = ContTwig(
-                tag=stree.ids[u],
-                length=stree.dist_to_top(u),
-                weight=stree.rooted.tree.weights[u],
-            )
+            att = ContTwig(tag=ids[u], length=rooted.rootdist[u], weight=weights[u])
         return Replacement(kind="twig", attachment=att, centers_used=out.count - 1)
-    members = [v for v in out.uncovered if v != zloc]
-    if discrete:
-        members = [v for v in members if stree.ids[v] not in stree.bud_tags]
+    members = [v for v in out.uncovered if v != zloc and ids[v] not in buds]
     if not members:
         return Replacement(kind="none", centers_used=out.count)
-    u = max(members, key=lambda v: ranks[stree.ids[v]])
-    att = Thorn(
-        tag=stree.ids[u],
-        length=stree.dist_to_top(u),
-        weight=stree.rooted.tree.weights[u],
-    )
+    u = max(members, key=lambda v: ranks[ids[v]])
+    att = Thorn(tag=ids[u], length=rooted.rootdist[u], weight=weights[u])
     return Replacement(kind="thorn", attachment=att, centers_used=out.count)
 
 
@@ -523,16 +476,15 @@ def _postprocess(stem: Stem, rng, ranks, resolver, discrete: bool) -> Replacemen
     """
     from .scalars import midpoint
 
-    scan = dftest0 if discrete else ftest0
-    stree = _StemTree(stem)
+    rooted, ids = stem_tree(stem)
     guard = 0
     while True:
         guard += 1
-        if guard > 16 * len(stree.ids) ** 2 + 64:
+        if guard > 16 * len(ids) ** 2 + 64:
             raise StemContractError("post-processing failed to stabilize")
         lam = midpoint(rng.lo, rng.hi)
-        out = scan(stree.rooted, lam, 4 * stem.m + 8, defer_root=True)
-        repl = _emit_common(stree, out, ranks, discrete=discrete)
+        out = ftest0(rooted, lam, 4 * stem.m + 8, discrete=discrete, defer_root=True)
+        repl = _emit_common(stem, rooted, ids, out, ranks, discrete=discrete)
         pending = []
         if repl.kind != "none":
             att = repl.attachment

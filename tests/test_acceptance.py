@@ -315,7 +315,7 @@ def _check_reduction(tree, k, config):
         assert want == s.range.hi
         return 0
     lo, hi = s.range.lo, s.range.hi
-    rooted_red, _ = s.working.materialize()
+    rooted_red = s.working.materialize()
     inside = [v for v in candidate_values(tree, mode) if lo < v < hi]
     ends = [lo] + inside + [hi]
     probes = inside + [(a + b) / 2 for a, b in zip(ends, ends[1:])]

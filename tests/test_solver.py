@@ -124,7 +124,7 @@ def test_phase0_leaf_count_decreases():
             lpool.extend(stem_lines(st, stem_id=si))
         find_boundary_vertices(lpool, s.range, s.base_tester(), s.rand)
         s._reduce(chosen, s.base_tester())
-        s.cur_rooted, _ = s.working.materialize()
+        s.cur_rooted = s.working.materialize()
         after = s.working.leaf_count()
         assert after < before
         counts.append(after)
@@ -152,7 +152,7 @@ def test_phase0_preserves_optimum(mode):
             continue
         # the reduced instance, solved with the remaining budget, has the
         # same optimum as the original
-        rooted_red, _ = s.working.materialize()
+        rooted_red = s.working.materialize()
         got = oracle_solve(rooted_red.tree, max(s.k_work, 1), mode)
         assert got == want
         assert s.range.lo < want <= s.range.hi
@@ -311,6 +311,23 @@ def test_end_to_end_random_exactness():
                 solve(tree, k, SolverConfig(mode=mode)).lambda_star
                 == oracle_solve(tree, k, mode)
             )
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("shape", ["path", "caterpillar", "star", "uniform-attach"])
+def test_exact_matches_oracle_on_instance_families(shape, mode):
+    # long stems and twigs (paths, caterpillars), one hub (stars), wide and
+    # 0/1 weights (many zero weights), and the extreme budgets k = 1, n - 1, n
+    rng = random.Random(f"families/{shape}/{mode}")
+    for weights in ((0, 10**6), (0, 1)):
+        for _ in range(3):
+            n = rng.randint(2, 30)
+            tree = random_tree(n, seed=rng.randrange(10**6), weight_range=weights, shape=shape)
+            for k in sorted({1, max(1, n - 1), n}):
+                want = oracle_solve(tree, k, mode)
+                for r in (None, 2, 3):
+                    got = solve(tree, k, SolverConfig(mode=mode, r=r)).lambda_star
+                    assert got == want, (shape, mode, weights, n, k, r)
 
 
 def test_default_r():

@@ -14,7 +14,6 @@ from treecenter.stems import (
     Stem,
     Thorn,
     WorkingTree,
-    _StemTree,
     build_stem_tables,
     cleanup_continuous,
     cleanup_discrete,
@@ -24,8 +23,9 @@ from treecenter.stems import (
     stem_arrays_discrete,
     stem_lines,
     stem_matrices_continuous,
+    stem_tree,
 )
-from treecenter.tree import Tree, root_at
+from treecenter.tree import Tree, path_distance, root_at
 
 from conftest import F, make_tree, path_tree
 
@@ -430,8 +430,8 @@ def random_stem(rng, max_m=8, discrete=False, force_twig=False):
         stem = mk_stem(xs, ws, thorns, twigs, own_top=True,
                        ids=list(range(100, 100 + m)))
         k = rng.randint(1, max(1, m // 2) + len(twigs))
-        stree = _StemTree(stem)
-        lam_star = oracle_solve(stree.rooted.tree, k,
+        rooted, _ = stem_tree(stem)
+        lam_star = oracle_solve(rooted.tree, k,
                                 "discrete" if discrete else "continuous")
         if lam_star == 0:
             continue
@@ -462,13 +462,51 @@ def random_stem(rng, max_m=8, discrete=False, force_twig=False):
 
 
 def stem_tester(stem, k, discrete):
-    stree = _StemTree(stem)
+    rooted, _ = stem_tree(stem)
     test = dftest0 if discrete else ftest0
 
     def tester(lam):
-        return test(stree.rooted, lam, k).feasible
+        return test(rooted, lam, k).feasible
 
     return tester
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+def test_stem_tree_distances(discrete):
+    rng0 = random.Random(700 + discrete)
+    for _ in range(12):
+        stem, _rng = random_stem(rng0, max_m=8, discrete=discrete)
+        rooted, to_orig = stem_tree(stem)
+        local = {orig: i for i, orig in enumerate(to_orig)}
+        weights = rooted.tree.weights
+        x = stem.x
+        assert to_orig[:stem.m] == stem.backbone
+        assert rooted.root == stem.m - 1
+        for p in range(stem.m):
+            assert rooted.rootdist[p] == x[-1] - x[p] and weights[p] == stem.weights[p]
+        for p, th in stem.thorns.items():
+            u = local[th.tag]
+            assert rooted.rootdist[u] == x[-1] - x[p] + th.length
+            assert weights[u] == th.weight
+        for p, tw in stem.twigs.items():
+            u = local[tw.tag]
+            assert rooted.rootdist[u] == x[-1] - x[p] + tw.length
+            assert weights[u] == tw.weight
+            if discrete:
+                b = local[tw.bud_tag]
+                assert rooted.rootdist[b] == x[-1] - x[p] + tw.bud_len
+                assert weights[b] == tw.bud_weight
+                assert path_distance(rooted.tree, b, u) == tw.twig_len
+        assert rooted.tree.n == len(to_orig) == len(local)
+
+
+def test_stem_tree_bud_only_twig():
+    bud = DiscTwig(bud_tag=9, bud_len=F(3), tag=9, twig_len=F(0), weight=F(2), bud_weight=F(2))
+    stem = mk_stem([0, 4], [1, 1], twigs={0: bud}, ids=[4, 5])
+    rooted, to_orig = stem_tree(stem)
+    assert to_orig == [4, 5, 9]
+    assert rooted.tree.edges[-1] == (0, 2, F(3))
+    assert rooted.rootdist[2] == 7 and rooted.tree.weights[2] == 2
 
 
 @pytest.mark.parametrize("seed", range(8))
