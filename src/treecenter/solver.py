@@ -1,6 +1,7 @@
-"""End-to-end solver: preprocessing, leaf-stem reduction, substem tables
-with a sublinear feasibility test, and the final narrowing that pins the
-optimum exactly.
+"""End-to-end solver: preprocessing, leaf-stem reduction, and the final
+narrowing that pins the optimum exactly, all with the linear feasibility
+test on the tree as reduced so far. The substem tables with a sublinear
+feasibility test (phase 1) are opt-in.
 
 The solver maintains a bracket (lo, hi] with lo strictly infeasible and hi
 feasible. Candidate values are generated per stem (line crossings in
@@ -41,7 +42,7 @@ class SolverConfig:
     scalar: str = EXACT
     r: int | None = None      # substem length cap; default ceil(log2 n)^2
     use_phase0: bool = True
-    use_phase1: bool = True
+    use_phase1: bool = False  # substem tables and the fast test in phase 2
     seed: int = 0x5EED
     record_tests: bool = False
 
@@ -279,11 +280,16 @@ class _Session:
             self.tested.append((self.phase, kind, lam, verdict))
 
     def base_tester(self):
+        """The linear test on the current reduced tree with the remaining
+        budget; the reduction is faithful only inside the live bracket."""
         rooted = self.cur_rooted
         k = self.k_work
         discrete = self.discrete
+        rng = self.range
 
         def tester(lam):
+            if not (rng.lo < lam < rng.hi):
+                raise ValueError("lambda outside the live bracket")
             verdict = ftest0_feasible(rooted, lam, k, discrete)
             self._record("dftest0" if discrete else "ftest0", lam, verdict)
             return verdict
@@ -379,13 +385,6 @@ class _Session:
     def phase1(self):
         self.phase = "phase1"
         if not self.config.use_phase1:
-            self.fast = _FallbackFeasibility(
-                self.working.materialize(),
-                self.k_work,
-                self.range.lo,
-                self.range.hi,
-                self.discrete,
-            )
             return
         n = self.tree.n
         r = max(2, self.config.r or default_r(n))
@@ -443,43 +442,34 @@ class _Session:
             if guard > 4 * math.ceil(math.log2(max(n, 2))) + 40:
                 raise AssertionError("leaf-stem elimination failed to converge")
             self._narrow(stems)
-            self._reduce(stems, self.fast_tester())
+            self._reduce(stems, self._phase2_tester())
+            if self.fast is None:
+                self.cur_rooted = self.working.materialize()
         final = self.working.stems()
         self._narrow(final)
         return self.range.hi
+
+    def _phase2_tester(self):
+        """The frozen fast test after phase 1, else the linear test on the
+        tree as reduced so far."""
+        return self.fast_tester() if self.fast is not None else self.base_tester()
 
     def _narrow(self, stems):
         if self.discrete:
             pool = []
             for st in stems:
                 pool.extend(stem_arrays_discrete(st)[0])
-            msearch(pool, self.range, 0, self.fast_tester())
+            msearch(pool, self.range, 0, self._phase2_tester())
         else:
             pool = []
             for si, st in enumerate(stems):
                 pool.extend(stem_lines(st, stem_id=si))
-            find_boundary_vertices(pool, self.range, self.fast_tester(), self.rand)
+            find_boundary_vertices(pool, self.range, self._phase2_tester(), self.rand)
 
 
 class _BudgetExhausted(Exception):
     """More centers committed than k allows: every value in the open
     bracket is infeasible, so the optimum is the bracket's feasible end."""
-
-
-class _FallbackFeasibility:
-    """Oracle-equivalent substitute used when the table phase is disabled."""
-
-    def __init__(self, rooted, k, lo, hi, discrete):
-        self.rooted = rooted
-        self.k = k
-        self.lo = lo
-        self.hi = hi
-        self.discrete = discrete
-
-    def __call__(self, lam):
-        if not (self.lo < lam < self.hi):
-            raise ValueError("lambda outside the frozen bracket")
-        return ftest0_feasible(self.rooted, lam, self.k, self.discrete)
 
 
 def _chop(stem, r: int) -> list:

@@ -97,11 +97,11 @@ def test_criterion_3_fast_test_equivalence(continuous_runs, discrete_runs):
             k = rng.randint(1, n)
             res = solve(
                 tree, k, SolverConfig(mode=mode, r=rng.choice([3, 4, 6]),
-                                      record_tests=True)
+                                      use_phase1=True, record_tests=True)
             )
             assert res.lambda_star == oracle_solve(tree, k, mode)
             checked += replay([(tree, k, res.tested)], discrete)
-            session = _Session(tree, k, SolverConfig(mode=mode, r=4))
+            session = _Session(tree, k, SolverConfig(mode=mode, r=4, use_phase1=True))
             if ftest0_feasible(session.rooted, 0, k, discrete):
                 continue
             session.preprocess()

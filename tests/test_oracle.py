@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -98,3 +101,123 @@ def test_all_pairs_distances():
     tree = make_tree([1, 1, 1], [(0, 1, 4), (0, 2, 5)])
     dist = all_pairs_distances(tree)
     assert dist[1][2] == 9 and dist[2][1] == 9 and dist[0][0] == 0
+
+
+# ----------------------------------------------------------------------
+# A brute force that shares no code with the greedy scans of the oracle
+
+
+def _brute_distances(tree):
+    adj = [[] for _ in range(tree.n)]
+    for u, v, length in tree.edges:
+        adj[u].append((v, length))
+        adj[v].append((u, length))
+    dist = []
+    for s in range(tree.n):
+        row = {s: 0}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y, length in adj[x]:
+                if y not in row:
+                    row[y] = row[x] + length
+                    stack.append(y)
+        dist.append(row)
+    return dist
+
+
+def _brute_discrete(tree, k):
+    """Best cost over every set of k vertex centers."""
+    dist = _brute_distances(tree)
+    w = tree.weights
+    return min(
+        max(w[v] * min(dist[c][v] for c in centers) for v in range(tree.n))
+        for centers in itertools.combinations(range(tree.n), min(k, tree.n))
+    )
+
+
+def _brute_continuous_feasible(tree, dist, lam, k):
+    """Some k of the candidate points cover every vertex within lam.
+
+    A point's cover set only changes where it crosses a vertex or a point at
+    distance lam / w(v) from some v, so the vertices and those points (one
+    per vertex pair, on the path between them) are enough.
+    """
+    n, w = tree.n, tree.weights
+    neighbors = {}
+    for a, b, length in tree.edges:
+        neighbors[a, b] = neighbors[b, a] = length
+
+    def on_path(v, u, t):
+        # the point at distance t from v on the v-u path as (a, b, offset from a)
+        path = [u]
+        while path[-1] != v:
+            x = path[-1]
+            path.append(next(y for y in range(n)
+                             if (x, y) in neighbors and dist[v][y] < dist[v][x]))
+        path.reverse()
+        for a, b in zip(path, path[1:]):
+            if dist[v][b] >= t:
+                return a, b, t - dist[v][a]
+
+    points = [(v, v, 0) for v in range(n)]
+    for v in range(n):
+        if w[v] == 0:
+            continue
+        for u in range(n):
+            if u != v and dist[v][u] > lam / w[v]:
+                points.append(on_path(v, u, lam / w[v]))
+    masks = set()
+    for a, b, t in points:
+        length = neighbors.get((a, b), 0)
+        masks.add(sum(
+            1 << v for v in range(n)
+            if w[v] * min(dist[v][a] + t, dist[v][b] + length - t) <= lam
+        ))
+    full = (1 << n) - 1
+    return any(
+        functools.reduce(operator.or_, chosen, 0) == full
+        for chosen in itertools.combinations(sorted(masks), min(k, len(masks)))
+    )
+
+
+def _brute_continuous(tree, k):
+    """Smallest candidate value that k candidate points cover; feasibility
+    grows with lam, so a binary search over the candidates finds it."""
+    dist = _brute_distances(tree)
+    values = candidate_values(tree, "continuous")
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _brute_continuous_feasible(tree, dist, values[mid], k):
+            hi = mid
+        else:
+            lo = mid + 1
+    return values[lo]
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("shape", ["path", "caterpillar", "star", "uniform-attach"])
+def test_oracle_matches_brute_force(shape, mode):
+    # weights 0..1 give zero weights and ties, lengths 1..2 tied distances
+    brute = _brute_discrete if mode == "discrete" else _brute_continuous
+    rng = random.Random(f"brute/{shape}/{mode}")
+    for weights, lengths in (((0, 1), (1, 2)), ((0, 3), (1, 3)), ((0, 10**6), (1, 20))):
+        for _ in range(4):
+            n = rng.randint(1, 8)
+            tree = random_tree(n, seed=rng.randrange(10**6), weight_range=weights,
+                               length_range=lengths, shape=shape)
+            for k in range(1, n + 1):
+                assert oracle_solve(tree, k, mode) == brute(tree, k), (n, k, weights)
+
+
+def test_brute_force_fixed_values():
+    tree = path_tree([1, 3], [4])
+    assert _brute_continuous(tree, 1) == 3
+    assert _brute_discrete(tree, 1) == 4
+    # a zero-weight leaf needs no center: the two unit-weight ends of the
+    # path 1-0-1 (lengths 2, 6) are 8 apart
+    tree = path_tree([1, 0, 1], [2, 6])
+    assert _brute_continuous(tree, 1) == 4
+    assert _brute_discrete(tree, 1) == 6
+    assert _brute_continuous(tree, 2) == 0

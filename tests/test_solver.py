@@ -165,7 +165,7 @@ def test_phase1_no_active_candidate_values():
             n = rng.randint(4, 30)
             tree = random_tree(n, seed=rng.randrange(10**6))
             k = rng.randint(1, max(1, n // 2))
-            s = _Session(tree, k, SolverConfig(mode=mode, r=3))
+            s = _Session(tree, k, SolverConfig(mode=mode, r=3, use_phase1=True))
             if ftest0_feasible(s.rooted, 0, k, mode == "discrete"):
                 continue
             s.preprocess()
@@ -191,7 +191,7 @@ def test_stem_tree_structure():
         [1] * 7,
         [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1), (4, 5, 1), (4, 6, 1)],
     )
-    s = _Session(tree, 2, SolverConfig(r=2))
+    s = _Session(tree, 2, SolverConfig(r=2, use_phase1=True))
     s.preprocess()
     s.phase1()
     tabs = s.fast.tabs
@@ -217,7 +217,7 @@ def test_fast_test_agrees_with_scan(mode):
         n = rng.randint(3, 150)
         tree = random_tree(n, seed=rng.randrange(10**6))
         k = rng.randint(1, n)
-        s = _Session(tree, k, SolverConfig(mode=mode))
+        s = _Session(tree, k, SolverConfig(mode=mode, use_phase1=True))
         if ftest0_feasible(s.rooted, 0, k, discrete):
             continue
         trees += 1
@@ -233,7 +233,7 @@ def test_fast_test_agrees_with_scan(mode):
 
 def test_fast_test_rejects_out_of_bracket():
     tree = path_tree([1, 2, 3], [2, 2])
-    s = _Session(tree, 1, SolverConfig())
+    s = _Session(tree, 1, SolverConfig(use_phase1=True))
     s.preprocess()
     s.phase0()
     s.phase1()
@@ -241,10 +241,51 @@ def test_fast_test_rejects_out_of_bracket():
         s.fast(s.range.hi + 1)
 
 
+def test_base_tester_rejects_bracket_ends():
+    tree = path_tree([1, 2, 3], [2, 2])
+    s = _Session(tree, 1, SolverConfig())
+    s.preprocess()
+    s.phase0()
+    tester = s.base_tester()
+    lo, hi = s.range.lo, s.range.hi
+    for lam in (lo, hi):
+        with pytest.raises(ValueError):
+            tester(lam)
+    # the bracket is read live: after it narrows, its old ends are outside too
+    mid = F(lo + hi, 2)
+    feasible = s.range.resolve(tester, mid)
+    assert feasible == ftest0_feasible(s.rooted, mid, 1, False)
+    with pytest.raises(ValueError):
+        tester(hi if feasible else lo)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_default_phase2_runs_linear_tests_on_the_reduced_tree(mode):
+    discrete = mode == "discrete"
+    rng = random.Random(f"phase2/{mode}")
+    phase2 = 0
+    for shape in ("uniform-attach", "caterpillar"):
+        for _ in range(6):
+            n = rng.randint(40, 120)
+            tree = random_tree(n, seed=rng.randrange(10**6),
+                               weight_range=(0, 10**6), shape=shape)
+            k = max(1, n // 10)
+            res = solve(tree, k, SolverConfig(mode=mode, record_tests=True))
+            assert res.stats["tests"]["phase1"] == 0
+            assert not {"ftest1", "dftest1"} & {kind for _, kind, _, _ in res.tested}
+            rooted = root_at(tree, 0)
+            for phase, kind, lam, verdict in res.tested:
+                if phase == "phase2":
+                    phase2 += 1
+                    assert kind == ("dftest0" if discrete else "ftest0")
+                    assert ftest0_feasible(rooted, lam, k, discrete) == verdict
+    assert phase2 > 0
+
+
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 def test_phase_toggles_fall_back(mode):
     rng = random.Random(31)
-    for p0, p1 in ((False, True), (True, False), (False, False)):
+    for p0, p1 in ((False, True), (True, False), (False, False), (True, True)):
         for _ in range(4):
             n = rng.randint(2, 30)
             tree = random_tree(n, seed=rng.randrange(10**6))
