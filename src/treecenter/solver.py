@@ -338,38 +338,15 @@ class _Session:
             stems = self.working.leaf_stems(max_len=r)
             if not stems:
                 break
-            nprime = sum(st.m for st in stems)
-            pool = []
-            owners = []
-            for si, st in enumerate(stems):
-                mats = (
-                    stem_arrays_discrete(st)[0]
-                    if self.discrete
-                    else stem_matrices_continuous(st)[0]
-                )
-                for m in mats:
-                    pool.append(m)
-                    owners.append(si)
-            c = nprime // (2 * r)
-            res = msearch(pool, self.range, c, self.base_tester())
-            hot = {
-                owners[i]
-                for i, rem in enumerate(res.remaining_per_matrix)
-                if rem > 0
-            }
-            chosen = [st for si, st in enumerate(stems) if si not in hot]
-            if not self.discrete:
-                # settle line-crossing thresholds (twig reach et al.) that the
-                # one-center matrices do not enumerate
-                lpool = []
-                for si, st in enumerate(chosen):
-                    lpool.extend(stem_lines(st, stem_id=si))
-                find_boundary_vertices(lpool, self.range, self.base_tester(), self.rand)
-            self._reduce(chosen, self.base_tester())
-            self.cur_rooted = self.working.materialize()
+            cut = sum(st.m for st in stems) // (2 * r)
+            self._reduce(self._narrow(stems, cut=cut))
 
-    def _reduce(self, stems, tester):
+    def _reduce(self, stems):
+        """Fold `stems` into their parents, settling each postprocessing
+        value with the current tester, then rebuild the tree that the linear
+        test runs on (a frozen fast test needs no rebuild)."""
         post = postprocess_discrete if self.discrete else postprocess_continuous
+        tester = self._tester()
 
         def resolver(value):
             self.range.resolve(tester, value)
@@ -380,6 +357,8 @@ class _Session:
             self.k_work -= repl.centers_used + extra
             if self.k_work < 0:
                 raise _BudgetExhausted
+        if self.fast is None:
+            self.cur_rooted = self.working.materialize()
 
     # -- phase 1 -----------------------------------------------------------------
     def phase1(self):
@@ -392,13 +371,9 @@ class _Session:
         for stem in self.working.stems():
             subs.extend(_chop(stem, r))
         children, order, root_index = _stem_tree(subs, self.working.root)
-
+        self._narrow(subs)
+        lam = midpoint(self.range.lo, self.range.hi)
         if self.discrete:
-            pool = []
-            for sub in subs:
-                pool.extend(stem_arrays_discrete(sub)[0])
-            msearch(pool, self.range, 0, self.base_tester())
-            lam = midpoint(self.range.lo, self.range.hi)
             tabs = [
                 build_stem_tables(
                     sub, sub.own_top, "discrete", lam, vertex_ranks=self.ranks
@@ -409,9 +384,7 @@ class _Session:
             pool = []
             for si, sub in enumerate(subs):
                 pool.extend(stem_lines(sub, stem_id=si))
-            find_boundary_vertices(pool, self.range, self.base_tester(), self.rand)
             rank_all = compute_ranks(pool, self.range, strict=self.exact)
-            lam = midpoint(self.range.lo, self.range.hi)
             tabs = []
             for si, sub in enumerate(subs):
                 rankp = lambda kind, pos, sign, si=si: rank_all[(si, kind, pos, sign)]
@@ -441,30 +414,39 @@ class _Session:
             guard += 1
             if guard > 4 * math.ceil(math.log2(max(n, 2))) + 40:
                 raise AssertionError("leaf-stem elimination failed to converge")
-            self._narrow(stems)
-            self._reduce(stems, self._phase2_tester())
-            if self.fast is None:
-                self.cur_rooted = self.working.materialize()
-        final = self.working.stems()
-        self._narrow(final)
+            self._reduce(self._narrow(stems))
+        self._narrow(self.working.stems())
         return self.range.hi
 
-    def _phase2_tester(self):
+    def _tester(self):
         """The frozen fast test after phase 1, else the linear test on the
         tree as reduced so far."""
         return self.fast_tester() if self.fast is not None else self.base_tester()
 
-    def _narrow(self, stems):
-        if self.discrete:
-            pool = []
-            for st in stems:
-                pool.extend(stem_arrays_discrete(st)[0])
-            msearch(pool, self.range, 0, self._phase2_tester())
-        else:
+    def _narrow(self, stems, cut=None):
+        """Narrow the bracket over the candidate values of `stems` and return
+        the stems to fold. With `cut` (phase 0), sorted-matrix search stops
+        once at most `cut` pool elements remain inside the bracket, and only
+        the stems with none of them left are kept."""
+        if self.discrete or cut is not None:
+            build = stem_arrays_discrete if self.discrete else stem_matrices_continuous
+            pool, owners = [], []
+            for si, st in enumerate(stems):
+                mats = build(st)[0]
+                pool.extend(mats)
+                owners.extend([si] * len(mats))
+            res = msearch(pool, self.range, cut or 0, self._tester())
+            if cut is not None:
+                hot = {owners[i] for i, rem in enumerate(res.remaining_per_matrix) if rem > 0}
+                stems = [st for si, st in enumerate(stems) if si not in hot]
+        if not self.discrete:
+            # the line crossings, which also settle the thresholds (twig
+            # reach et al.) that the one-center matrices do not enumerate
             pool = []
             for si, st in enumerate(stems):
                 pool.extend(stem_lines(st, stem_id=si))
-            find_boundary_vertices(pool, self.range, self._phase2_tester(), self.rand)
+            find_boundary_vertices(pool, self.range, self._tester(), self.rand)
+        return stems
 
 
 class _BudgetExhausted(Exception):

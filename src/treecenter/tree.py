@@ -8,6 +8,7 @@ serializer own the boundary.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,6 +128,8 @@ def parse_tree(text: str, mode: str = EXACT):
                 value = make_scalar(value, mode)
             else:
                 value = make_scalar(token, mode)
+                if not math.isfinite(value):
+                    raise ValueError
         except ValueError:
             raise ParseError(line_no, f"bad {what}: {token!r}") from None
         if value < 0 or (value == 0 and not allow_zero):

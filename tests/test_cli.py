@@ -59,6 +59,17 @@ def test_solve_bad_content(tmp_path, capsys):
     assert cli.main(["solve", "--input", str(f)]) == 2
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_solve_float_rejects_non_finite(token, tmp_path, capsys):
+    f = tmp_path / "nonfinite.tree"
+    f.write_text(f"2 1\n{token} 1\n1 2 1\n")
+    assert cli.main(["solve", "--input", str(f), "--scalar", "float"]) == cli.EXIT_INPUT == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("parse error: ")
+    assert captured.out == ""
+
+
 def test_solve_k_zero(path2):
     assert cli.main(["solve", "--input", path2, "--k", "0"]) == 3
 

@@ -91,44 +91,21 @@ def test_phase0_identity_when_few_leaves():
 
 
 def test_phase0_leaf_count_decreases():
-    tree = full_binary_tree(5)  # n = 31
-    s = _Session(tree, 3, SolverConfig(r=4))
+    # a full binary tree has (n - 1) / 2 < n / 2 non-root leaves, so the
+    # limit 2n/r cuts into them only for r > 4
+    tree = full_binary_tree(6)  # n = 63
+    r = 16
+    s = _Session(tree, 3, SolverConfig(r=r))
     s.preprocess()
     s.phase = "phase0"
+    limit = 2 * tree.n / r
     counts = [s.working.leaf_count()]
-    import math
-
-    r = 4
-    n = tree.n
-    import treecenter.solver as SV
-
-    while s.working.leaf_count() > 2 * n / r:
-        before = s.working.leaf_count()
+    while counts[-1] > limit:
         stems = s.working.leaf_stems(max_len=r)
-        from treecenter.sorted_matrix import msearch
-        from treecenter.arrangement import find_boundary_vertices
-        from treecenter.stems import stem_lines
-
-        pool = []
-        owners = []
-        for si, st in enumerate(stems):
-            for m in stem_matrices_continuous(st)[0]:
-                pool.append(m)
-                owners.append(si)
-        res = msearch(pool, s.range, sum(st.m for st in stems) // (2 * r),
-                      s.base_tester())
-        hot = {owners[i] for i, rem in enumerate(res.remaining_per_matrix) if rem}
-        chosen = [st for si, st in enumerate(stems) if si not in hot]
-        lpool = []
-        for si, st in enumerate(chosen):
-            lpool.extend(stem_lines(st, stem_id=si))
-        find_boundary_vertices(lpool, s.range, s.base_tester(), s.rand)
-        s._reduce(chosen, s.base_tester())
-        s.cur_rooted = s.working.materialize()
-        after = s.working.leaf_count()
-        assert after < before
-        counts.append(after)
-    assert counts[-1] <= 2 * n / r
+        s._reduce(s._narrow(stems, cut=sum(st.m for st in stems) // (2 * r)))
+        counts.append(s.working.leaf_count())
+        assert counts[-1] < counts[-2]
+    assert len(counts) >= 3
 
 
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])

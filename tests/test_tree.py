@@ -47,6 +47,20 @@ def test_parse_rejects(text):
         parse_tree(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 1\nnan 1\n1 2 1\n",     # weight
+        "2 1\n1 inf\n1 2 1\n",
+        "2 1\n1 1\n1 2 1e400\n",   # length that overflows to inf
+        "2 1\n1 1\n1 2 nan\n",
+    ],
+)
+def test_parse_float_rejects_non_finite(text):
+    with pytest.raises(ParseError):
+        parse_tree(text, "float")
+
+
 def test_parse_error_names_line():
     with pytest.raises(ParseError) as err:
         parse_tree("2 1\n1 1\n1 2 0\n")
