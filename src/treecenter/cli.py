@@ -1,19 +1,21 @@
 """Command-line front end: solve instances, verify against the brute-force
-oracle over seed ranges, benchmark scaling, and generate instances."""
+oracle over seed ranges, and generate instances.
+
+Every solve runs in exact rational arithmetic. With `--scalar float` the
+instance may hold any finite decimals; each is read as a float and then
+converted to the `Fraction` of exactly that float before solving."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import time
 from fractions import Fraction
 
 from .oracle import ORACLE_SIZE_GUARD, oracle_solve
 from .scalars import EXACT, FLOAT
 from .solver import SolverConfig, solve
-from .tree import ParseError, parse_tree, random_tree, serialize_tree
+from .tree import ParseError, Tree, parse_tree, random_tree, serialize_tree
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -23,11 +25,8 @@ EXIT_INTERNAL = 4
 
 
 def _fraction_str(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return f"{value}/1"
-    return repr(value)
+    value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _decimal_str(value) -> str:
@@ -73,8 +72,13 @@ def cmd_solve(args) -> int:
     if k < 1:
         print("error: k must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    config = SolverConfig(mode=args.mode, scalar=args.scalar)
-    result = solve(tree, k, config)
+    if args.scalar == FLOAT:
+        tree = Tree(
+            n=tree.n,
+            weights=tuple(Fraction(w) for w in tree.weights),
+            edges=tuple((u, v, Fraction(length)) for u, v, length in tree.edges),
+        )
+    result = solve(tree, k, SolverConfig(mode=args.mode))
     report = run_report(tree, k, args.mode, result)
     if args.out == "json":
         print(json.dumps(report, sort_keys=True))
@@ -131,12 +135,15 @@ def cmd_verify(args) -> int:
         if got != want:
             mismatches += 1
             path = f"verify_fail_seed{seed}.tree"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize_tree(tree, k))
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(serialize_tree(tree, k))
+                dump = f"instance dumped to {path}"
+            except OSError as exc:
+                dump = f"instance not dumped: {exc}"
             print(
                 f"seed {seed}: MISMATCH (n={n}, k={k}, mode={args.mode}): "
-                f"solver {_fraction_str(got)} oracle {_fraction_str(want)}; "
-                f"instance dumped to {path}"
+                f"solver {_fraction_str(got)} oracle {_fraction_str(want)}; {dump}"
             )
         elif not args.quiet:
             print(f"seed {seed}: ok (n={n}, k={k}, lambda*={_fraction_str(got)})")
@@ -147,69 +154,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    sizes = []
-    try:
-        for tok in args.sizes.split(","):
-            sizes.append(int(tok))
-    except ValueError:
-        print("error: bad sizes list", file=sys.stderr)
-        return EXIT_USAGE
-    if min(sizes) < 1:
-        print("error: sizes must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.repeats < 1:
-        print("error: repeats must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    rows = []
-    for n in sizes:
-        times = []
-        tests = {"pre": 0, "phase0": 0, "phase1": 0, "phase2": 0}
-        for rep in range(args.repeats):
-            tree = random_tree(n, seed=1000 + rep, mode=FLOAT)
-            started = time.perf_counter()
-            result = solve(tree, max(1, n // 50), SolverConfig(mode=args.mode, scalar=FLOAT))
-            times.append((time.perf_counter() - started) * 1000)
-            for key in tests:
-                tests[key] += result.stats["tests"][key]
-        total_tests = sum(tests.values())
-        rows.append(
-            {
-                "n": n,
-                "mode": args.mode,
-                "mean_ms": round(sum(times) / len(times), 3),
-                "feasibility_tests": total_tests // args.repeats,
-                "tests_phase0": tests["phase0"] // args.repeats,
-                "tests_phase1": tests["phase1"] // args.repeats,
-                "tests_phase2": tests["phase2"] // args.repeats,
-            }
-        )
-        print(f"n={n}: mean {rows[-1]['mean_ms']} ms, {rows[-1]['feasibility_tests']} tests")
-    if args.csv:
-        try:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
-                writer.writeheader()
-                writer.writerows(rows)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    for prev, cur in zip(rows, rows[1:]):
-        ratio = cur["mean_ms"] / prev["mean_ms"] if prev["mean_ms"] else float("inf")
-        print(f"n {prev['n']} -> {cur['n']}: time ratio {ratio:.2f}")
-    return EXIT_OK
-
-
 def cmd_gen(args) -> int:
     if args.n < 1:
         print("error: n must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    k = args.k if args.k is not None else max(1, args.n // 10)
+    if k < 1:
+        print("error: k must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     tree = random_tree(
         args.n,
         seed=args.seed,
         shape=args.shape,
     )
-    k = args.k if args.k is not None else max(1, args.n // 10)
     text = serialize_tree(tree, k)
     if args.out:
         try:
@@ -226,7 +183,7 @@ def cmd_gen(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecenter",
-        description="Weighted k-center on trees: exact solver, oracle verifier, benchmark",
+        description="Weighted k-center on trees: exact solver, oracle verifier, instance generator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--stdin", action="store_true", help="read the instance from stdin")
     p.add_argument("--mode", choices=["continuous", "discrete"], default="continuous")
     p.add_argument("--k", type=int, default=None, help="override k from the file")
-    p.add_argument("--scalar", choices=[EXACT, FLOAT], default=EXACT)
+    p.add_argument("--scalar", choices=[EXACT, FLOAT], default=EXACT,
+                   help="input format: integers (exact) or any finite decimals (float); "
+                   "both are solved exactly")
     p.add_argument("--out", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_solve)
 
@@ -246,13 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["continuous", "discrete"], default="continuous")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing over generated instances (float mode)")
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--mode", choices=["continuous", "discrete"], default="continuous")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a random instance file")
     p.add_argument("--n", type=int, required=True)

@@ -232,7 +232,6 @@ def random_tree(
     weight_range=(0, 20),
     length_range=(1, 20),
     shape: str = "uniform-attach",
-    mode: str = EXACT,
 ) -> Tree:
     """Deterministic random instance with integer weights and lengths."""
     if n < 1:
@@ -242,7 +241,7 @@ def random_tree(
     if wlo > whi or llo > lhi or llo < 1 or wlo < 0:
         raise ValueError("empty or invalid range")
     rng = random.Random(seed)
-    weights = tuple(make_scalar(rng.randint(wlo, whi), mode) for _ in range(n))
+    weights = tuple(Fraction(rng.randint(wlo, whi)) for _ in range(n))
     edges = []
     for v in range(1, n):
         if shape == "path":
@@ -256,5 +255,5 @@ def random_tree(
             u = rng.randrange(v)
         else:
             raise ValueError(f"unknown shape: {shape!r}")
-        edges.append((u, v, make_scalar(rng.randint(llo, lhi), mode)))
+        edges.append((u, v, Fraction(rng.randint(llo, lhi))))
     return Tree(n=n, weights=weights, edges=tuple(edges))

@@ -7,7 +7,11 @@ independent brute-force oracles.
 
 import math
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -361,16 +365,23 @@ def test_criterion_8_reduction_preserves_optimum():
     )
 
 
-def test_criterion_9_scaling_report(tmp_path):
-    """Non-gating: exercises the bench plumbing and reports ratios.
+def test_criterion_9_scaling_report():
+    """Runs the benchmark's scaling rows: every row must be certified
+    optimal; the time ratios per doubling are reported, not asserted.
 
-    The full-scale run is documented in the README:
-    treecenter bench --sizes 16384,65536,262144,1048576 --repeats 3 --csv out.csv
+    Larger rows are a manual run of the same script, e.g.
+    python perfbench/row.py --mode continuous,discrete --n 4096,8192,16384
     """
-    import treecenter.cli as cli
-
-    out = tmp_path / "bench.csv"
-    rc = cli.main(["bench", "--sizes", "256,1024", "--repeats", "2", "--csv", str(out)])
-    assert rc == 0
-    assert out.exists()
-    print("\nACCEPTANCE 9 scaling illustration (bench CSV written; non-gating): PASS")
+    repo = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "row.py"),
+         "--mode", "continuous,discrete", "--n", "256,512"],
+        capture_output=True, text=True, check=False, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 4
+    assert all(row.endswith("certified=True") for row in rows)
+    ratios = [re.search(r" n=512 .* x\d+\.\d+/2n ", row) for row in rows[1::2]]
+    assert all(ratios), rows
+    print("\nACCEPTANCE 9 scaling rows certified (time ratios reported, not asserted): PASS")

@@ -1,14 +1,16 @@
-import csv
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import treecenter
 import treecenter.cli as cli
 import treecenter.solver as solver_mod
+from treecenter import Tree, oracle_solve
 from treecenter.solver import SolveResult
 
 
@@ -70,6 +72,44 @@ def test_solve_float_rejects_non_finite(token, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_solve_float_input_is_solved_exactly(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n38 15\n2 1 5526\n"))
+    assert cli.main(["solve", "--stdin", "--scalar", "float", "--out", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_star"] == "3149820/53"
+
+
+def _float_instance(rng):
+    n = rng.randint(2, 30)
+    weights = [rng.uniform(0.0, 1000.0) for _ in range(n)]
+    edges = [(rng.randrange(v), v, rng.uniform(0.5, 100.0)) for v in range(1, n)]
+    k = rng.randint(1, max(1, n // 3))
+    text = "\n".join(
+        [f"{n} {k}", " ".join(repr(w) for w in weights)]
+        + [f"{u + 1} {v + 1} {length!r}" for u, v, length in edges]
+    ) + "\n"
+    exact = Tree(
+        n=n,
+        weights=tuple(Fraction(w) for w in weights),
+        edges=tuple((u, v, Fraction(length)) for u, v, length in edges),
+    )
+    return text, exact, k
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_solve_float_input_matches_the_exact_oracle(mode, tmp_path, capsys):
+    rng = random.Random(4242 if mode == "continuous" else 4343)
+    f = tmp_path / "float.tree"
+    for _ in range(25):
+        text, exact, k = _float_instance(rng)
+        f.write_text(text)
+        argv = ["solve", "--input", str(f), "--scalar", "float", "--mode", mode, "--out", "json"]
+        assert cli.main(argv) == 0
+        want = oracle_solve(exact, k, mode)
+        assert json.loads(capsys.readouterr().out)["lambda_star"] == cli._fraction_str(want)
+
+
 def test_solve_k_zero(path2):
     assert cli.main(["solve", "--input", path2, "--k", "0"]) == 3
 
@@ -95,8 +135,7 @@ def test_verify_discrete_ok(capsys, tmp_path, monkeypatch):
     ) == 0
 
 
-def test_verify_detects_injected_bug(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def _inject_wrong_solve(monkeypatch):
     real_solve = cli.solve
 
     def broken(tree, k, config=None):
@@ -104,9 +143,29 @@ def test_verify_detects_injected_bug(monkeypatch, tmp_path, capsys):
         return SolveResult(res.lambda_star + 1, res.centers, res.stats)
 
     monkeypatch.setattr(cli, "solve", broken)
+
+
+def test_verify_detects_injected_bug(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _inject_wrong_solve(monkeypatch)
     assert cli.main(["verify", "--seeds", "1..3", "--nmax", "20", "--quiet"]) == 1
     dumps = list(tmp_path.glob("verify_fail_seed*.tree"))
     assert dumps
+
+
+def test_verify_mismatch_survives_a_failed_dump(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "verify_fail_seed1.tree").mkdir()
+    _inject_wrong_solve(monkeypatch)
+    assert cli.main(["verify", "--seeds", "1..2", "--nmax", "10", "--quiet"]) == cli.EXIT_MISMATCH
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["seed 1", "seed 2"]
+    assert all("MISMATCH" in line for line in lines)
+    assert "; instance not dumped: " in lines[0]
+    assert lines[1].endswith("; instance dumped to verify_fail_seed2.tree")
+    assert (tmp_path / "verify_fail_seed2.tree").is_file()
+    assert captured.err.splitlines() == ["2 mismatches"]
 
 
 
@@ -127,30 +186,6 @@ def test_internal_fault_has_its_own_exit_code(argv, path2, monkeypatch, tmp_path
     assert err == ["internal error: AssertionError: solver produced an infeasible optimum"]
     assert not list(tmp_path.glob("verify_fail_seed*.tree"))
 
-def test_bench_csv(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert cli.main(
-        ["bench", "--sizes", "64,128", "--repeats", "1", "--csv", str(out)]
-    ) == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["n"] for r in rows] == ["64", "128"]
-    assert set(rows[0].keys()) == {
-        "n",
-        "mode",
-        "mean_ms",
-        "feasibility_tests",
-        "tests_phase0",
-        "tests_phase1",
-        "tests_phase2",
-    }
-
-
-def test_bench_unwritable_csv(tmp_path):
-    assert cli.main(
-        ["bench", "--sizes", "32", "--repeats", "1", "--csv", "/nonexistent/dir/x.csv"]
-    ) == 2
-
 
 def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "g.tree"
@@ -163,12 +198,11 @@ def test_usage_error():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["bench", "--sizes", "32", "--repeats", "0"], "error: repeats must be at least 1"),
-    (["bench", "--sizes", "0"], "error: sizes must be at least 1"),
     (["gen", "--n", "0"], "error: n must be at least 1"),
+    (["gen", "--n", "3", "--k", "0"], "error: k must be at least 1"),
     (["verify", "--seeds", "1..2", "--nmax", "1"], "error: nmax must be at least 2"),
     (["verify", "--seeds", "3..1"], "error: empty seed range"),
-], ids=["bench-repeats-0", "bench-sizes-0", "gen-n-0", "verify-nmax-1", "verify-seeds-3..1"])
+], ids=["gen-n-0", "gen-k-0", "verify-nmax-1", "verify-seeds-3..1"])
 def test_bad_parameters_exit_usage(argv, message, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE == 3
     captured = capsys.readouterr()
