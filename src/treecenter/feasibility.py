@@ -6,11 +6,20 @@ every vertex v within weighted distance w(v) * d <= lam of a center;
 maintaining for each vertex the distance to the closest center already
 placed in its subtree (sup) and the largest distance at which one more
 center would still cover everything uncovered below (dem).
+
+`ftest0_feasible`, the verdict-only test behind every step of the
+solver's search, runs the same scan on Python ints when the tree and lam
+are exact: each sup/dem value is a sum of edge lengths plus or minus
+lam / w(x), held as an integer fraction and compared by
+cross-multiplication, and a tree with non-integer rationals is scaled to
+integers first. `ftest0` and `dftest0`, which also place the centers,
+run on the scalars they are given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .scalars import INF
 from .tree import RootedTree
@@ -186,7 +195,90 @@ def dftest0(
 
 
 def ftest0_feasible(rooted: RootedTree, lam, k: int, discrete: bool = False) -> bool:
-    """Lean verdict-only variant used in solver hot loops."""
+    """Lean verdict-only variant used in solver hot loops.
+
+    Exact input (ints and Fractions) runs `_int_feasible`; a float tree or a
+    float lam runs `_scan_feasible`, the same scan on plain arithmetic."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    tree = rooted.tree
+    lens = list(rooted.parent_len)
+    lens[rooted.root] = 0
+    try:
+        p, q = lam.numerator, lam.denominator
+        wscale = lcm(*{w.denominator for w in tree.weights})
+        lscale = lcm(*{d.denominator for d in lens})
+    except AttributeError:  # floats carry no numerator/denominator
+        return _scan_feasible(rooted, lam, k, discrete)
+    # w(v) * d <= lam  iff  (wscale * w(v)) * (lscale * d) <= wscale * lscale * lam
+    if wscale == 1:
+        weights = [w.numerator for w in tree.weights]
+    else:
+        weights = [w.numerator * (wscale // w.denominator) for w in tree.weights]
+    if lscale == 1:
+        lq = [d.numerator * q for d in lens]
+    else:
+        lq = [d.numerator * (lscale // d.denominator) * q for d in lens]
+    return _int_feasible(rooted, weights, lq, p * wscale * lscale, k, discrete)
+
+
+def _int_feasible(rooted: RootedTree, weights: list, lq: list, p: int, k: int,
+                  discrete: bool) -> bool:
+    """The scan of `_scan_feasible` on ints, for lam = p/q.
+
+    `weights` are ints and lq[u] = q * (length of u's parent edge). Every
+    sup/dem value is A + s*lam/w(x) (A a sum of lengths, s in {-1, 0, 1}),
+    held as a pair (num, den) with q * value = num/den: den is w(x), or 1,
+    or 0 with num = 1 for +inf. Comparisons cross-multiply; the denominators
+    are never negative, so +inf compares above every finite value.
+    """
+    n = len(weights)
+    sn = [1] * n
+    sd = [0] * n
+    dn = [p if w else 1 for w in weights]
+    dd = weights  # a zero weight is dem = +inf
+    count = 0
+    children = rooted.children
+    for v in rooted.postorder:
+        an, ad = 1, 0  # sup(v)
+        bn, bd = dn[v], dd[v]  # dem(v)
+        for u in children[v]:
+            s, t = sn[u], sd[u]
+            c, e = dn[u], dd[u]
+            d = lq[u]
+            if s * e <= c * t:
+                # sup(u) <= dem(u); a finite sup(u) reaches v at sup(u) + d
+                if t:
+                    s += d * t
+                    if s * ad < an * t:
+                        an, ad = s, t
+            elif c < d * e:
+                # dem(u) < d, with dem(u) finite since sup(u) > dem(u)
+                count += 1
+                if count > k:
+                    return False
+                if discrete:
+                    s, t = d, 1
+                else:
+                    s, t = d * e - c, e
+                if s * ad < an * t:
+                    an, ad = s, t
+            else:
+                c -= d * e
+                if c * bd < bn * e:
+                    bn, bd = c, e
+        sn[v] = an
+        sd[v] = ad
+        dn[v] = bn
+        dd[v] = bd
+    r = rooted.root
+    if sn[r] * dd[r] > dn[r] * sd[r]:
+        count += 1
+    return count <= k
+
+
+def _scan_feasible(rooted: RootedTree, lam, k: int, discrete: bool) -> bool:
+    """The verdict of `ftest0` on any scalar type: a float tree or lam here."""
     tree = rooted.tree
     n = tree.n
     w = tree.weights

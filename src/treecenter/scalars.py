@@ -1,10 +1,13 @@
 """Scalar arithmetic support: exact rationals or floats, plus tagged infinities.
 
-All core algorithms are written against plain Python arithmetic and
-comparisons, so they run unchanged on `fractions.Fraction` (exact mode,
-the default for everything that must be verified) and on `float`
-(benchmark mode). Infinite sentinels are represented by `Ext` instances,
-never by numeric magic values, so that exact comparisons stay exact.
+The core algorithms are written against plain Python arithmetic and
+comparisons, so they run on `fractions.Fraction` (exact mode, the
+default for everything that must be verified) and on `float` (benchmark
+mode). The exception is the lean feasibility test
+`feasibility.ftest0_feasible`: on exact input it converts the tree to
+Python ints and uses no scalar of this module. Infinite sentinels are
+represented by `Ext` instances, never by numeric magic values, so that
+exact comparisons stay exact.
 """
 
 from __future__ import annotations

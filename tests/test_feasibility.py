@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from treecenter.feasibility import dftest0, ftest0, ftest0_feasible
-from treecenter.oracle import all_pairs_distances
+import treecenter.feasibility as feasibility
+import treecenter.solver as solver
+from treecenter.feasibility import _scan_feasible, dftest0, ftest0, ftest0_feasible
+from treecenter.oracle import all_pairs_distances, candidate_values, oracle_solve
 from treecenter.tree import random_tree, root_at
 
 from conftest import F, make_tree, path_tree
@@ -244,3 +246,91 @@ def test_lambda_zero_is_legal():
     tree = path_tree([2, 5], [3])
     out = ftest0(root_at(tree, 0), 0, 2)
     assert out.feasible and out.count == 2
+
+
+def test_lean_test_rejects_negative_lambda():
+    # as ftest0 does; a negative lam used to read as infeasible
+    rooted = root_at(path_tree([1, 1], [2]), 1)
+    for lam in (-1, F(-1, 3), -0.5):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            ftest0_feasible(rooted, lam, 1)
+
+
+# The integer scan of `ftest0_feasible` against the same scan run on
+# Fractions (`_scan_feasible`), which needs no conversion or scaling.
+
+def _assert_same_verdict(rooted, lam, k, discrete):
+    got = ftest0_feasible(rooted, lam, k, discrete)
+    assert got == _scan_feasible(rooted, lam, k, discrete), (lam, k, discrete)
+    return got
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("shape", ["uniform-attach", "path", "caterpillar", "star"])
+def test_integer_scan_matches_fraction_scan_on_solver_calls(shape, mode, monkeypatch):
+    calls = []
+    real = solver.ftest0_feasible
+
+    def recorder(rooted, lam, k, discrete=False):
+        calls.append((rooted, lam, k, discrete))
+        return real(rooted, lam, k, discrete)
+
+    def no_fallback(*args):
+        raise AssertionError("an exact solve ran the generic scan")
+
+    monkeypatch.setattr(solver, "ftest0_feasible", recorder)
+    monkeypatch.setattr(feasibility, "_scan_feasible", no_fallback)
+    rng = random.Random(f"solver-calls/{shape}/{mode}")
+    for weights in ((0, 10**6), (0, 3)):
+        for _ in range(3):
+            n = rng.randint(20, 90)
+            tree = random_tree(n, seed=rng.randrange(10**6), weight_range=weights, shape=shape)
+            solver.solve(tree, rng.randint(1, n // 5), solver.SolverConfig(mode=mode))
+    assert len(calls) > 20
+    for rooted, lam, k, discrete in calls:
+        _assert_same_verdict(rooted, lam, k, discrete)
+
+
+def _family_tree(rng, family, n):
+    def ints(lo, hi):
+        return Fraction(rng.randint(lo, hi))
+
+    weight, length = {
+        # many zero weights: dem(v) = +inf on those vertices
+        "zero-weights": (lambda: Fraction(rng.choice((0, 0, 0, 1, 5))), lambda: ints(1, 9)),
+        # every float loses these: the spacing of doubles there is 2 and more
+        "near-2**53": (lambda: ints(2**53 - 9, 2**53 + 9), lambda: ints(2**53 - 9, 2**53 + 9)),
+        "above-2**53": (lambda: ints(0, 2**70), lambda: ints(2**60, 2**64)),
+        "halves": (lambda: Fraction(rng.randint(0, 40), 2), lambda: Fraction(rng.randint(1, 40), 2)),
+        "thirds": (lambda: Fraction(rng.randint(0, 60), 3), lambda: Fraction(rng.randint(1, 60), 3)),
+        # decimals as `solve --scalar float` reads them: the exact binary fraction
+        "dyadic-decimals": (lambda: Fraction(round(rng.uniform(0, 50), 2)),
+                            lambda: Fraction(round(rng.uniform(0.01, 20), 3))),
+    }[family]
+    weights = [weight() for _ in range(n)]
+    edges = [(rng.randrange(v), v, length()) for v in range(1, n)]
+    return make_tree(weights, edges)
+
+
+@pytest.mark.parametrize("family", ["zero-weights", "near-2**53", "above-2**53", "halves",
+                                    "thirds", "dyadic-decimals"])
+def test_integer_scan_matches_fraction_scan_at_candidate_values(family):
+    # every candidate value of the oracle, where the scan's comparisons tie,
+    # and the midpoints between them; k = 1, 2 and n; at each k the optimum
+    # is feasible and the candidate just below it is not
+    rng = random.Random(f"candidates/{family}")
+    for _ in range(5):
+        n = rng.randint(1, 8)
+        tree = _family_tree(rng, family, n)
+        rooted = root_at(tree, rng.randrange(n))
+        for mode in ("continuous", "discrete"):
+            discrete = mode == "discrete"
+            values = candidate_values(tree, mode)
+            lams = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
+            for k in sorted({1, min(2, n), n}):
+                for lam in lams:
+                    _assert_same_verdict(rooted, lam, k, discrete)
+                at = values.index(oracle_solve(tree, k, mode))
+                assert _assert_same_verdict(rooted, values[at], k, discrete)
+                if at > 0:
+                    assert not _assert_same_verdict(rooted, values[at - 1], k, discrete)

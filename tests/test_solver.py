@@ -348,6 +348,38 @@ def test_exact_matches_oracle_on_instance_families(shape, mode):
                     assert got == want, (shape, mode, weights, n, k, r)
 
 
+def _rational_instance(rng, family):
+    n = rng.randint(2, 40)
+    if family == "decimals":
+        # read as floats and converted exactly, as `solve --scalar float` does
+        weight = lambda: Fraction(float(f"{rng.uniform(0, 1000):.{rng.randint(0, 4)}f}"))
+        length = lambda: Fraction(float(f"{rng.uniform(0.5, 100):.{rng.randint(1, 4)}f}"))
+    else:
+        weight = lambda: Fraction(rng.randint(0, 3000), rng.choice((1, 3, 7)))
+        length = lambda: Fraction(rng.randint(1, 300), rng.choice((3, 7)))
+    weights = [weight() for _ in range(n)]
+    edges = [(rng.randrange(v), v, length()) for v in range(1, n)]
+    return make_tree(weights, edges), rng.randint(1, max(1, n // 3))
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("family", ["decimals", "thirds-sevenths"])
+def test_exact_matches_oracle_on_non_integer_input(family, mode, monkeypatch):
+    # the solver's linear tests scale these trees to integers, never
+    # falling back to the generic scan
+    import treecenter.feasibility as feasibility
+
+    def no_fallback(*args):
+        raise AssertionError("an exact solve ran the generic scan")
+
+    monkeypatch.setattr(feasibility, "_scan_feasible", no_fallback)
+    rng = random.Random(f"rational/{family}/{mode}")
+    for _ in range(20):
+        tree, k = _rational_instance(rng, family)
+        assert any(x.denominator > 1 for x in tree.weights + tuple(e[2] for e in tree.edges))
+        assert solve(tree, k, SolverConfig(mode=mode)).lambda_star == oracle_solve(tree, k, mode)
+
+
 def test_default_r():
     assert default_r(1) == 1
     assert default_r(2) == 1
