@@ -1,13 +1,14 @@
 """Narrowing a bracket around the lowest feasible crossing of a line arrangement.
 
-Lines are y = a*x + b. Crossings below a horizontal sweep level are
-counted as inversions between the left-to-right orders of the lines at
-two levels, via a merge sort; the same merge draws a uniformly random
-crossing from a y-band. One randomized loop tests drawn crossings until
-the bracket's interior holds none, so its ends become y(v2) and y(v1):
-the highest infeasible and the lowest feasible crossing. The loop carries
-stall fuel for float runs. Later phases read only the line order inside
-that bracket (`compute_ranks`).
+Lines are y = a*x + b. Crossings inside a y-band are counted as
+inversions between the left-to-right orders of the lines at the band's
+two ends, by bisecting into the sorted list of earlier positions; one
+more draw picks a uniformly random crossing from the band. One randomized
+loop tests drawn crossings until the bracket's interior holds none, so
+its ends become y(v2) and y(v1): the highest infeasible and the lowest
+feasible crossing. Each test moves one end, and only the order at that
+end is sorted again. The loop carries stall fuel for float runs. Later
+phases read only the line order inside that bracket (`compute_ranks`).
 
 Horizontal lines have no sweep position; a zero-slope line carries a
 `bias` (+1 or -1) that places it at +infinity or -infinity in rank
@@ -29,6 +30,7 @@ does not hold. Float runs sort by their own keys as before.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -138,36 +140,27 @@ def _filtered_order(fl, y, exact_key):
     return idx
 
 
-def _merge_count_sample(seq, rand):
-    """Inversion count of `seq` (distinct ints paired with payloads) plus a
-    uniformly random inverted pair, via bottom-up merge sort."""
-    arr = list(seq)
-    total = 0
-    sample = None
-    run = 1
-    while run < len(arr):
-        out = []
-        for start in range(0, len(arr), 2 * run):
-            left = arr[start:start + run]
-            right = arr[start + run:start + 2 * run]
-            i = j = 0
-            while i < len(left) and j < len(right):
-                if right[j][0] < left[i][0]:
-                    c = len(left) - i
-                    total += c
-                    if rand is not None and rand.randrange(total) < c:
-                        pick = left[i + rand.randrange(c)]
-                        sample = (pick[1], right[j][1])
-                    out.append(right[j])
-                    j += 1
-                else:
-                    out.append(left[i])
-                    i += 1
-            out.extend(left[i:])
-            out.extend(right[j:])
-        arr = out
-        run *= 2
-    return total, sample
+def _count_inversions(keys):
+    """Per position q of `keys` (distinct ints), the number of earlier keys
+    greater than keys[q]; their sum is the inversion count. Each count
+    bisects the sorted list of the keys before q."""
+    seen = []
+    counts = []
+    for q, x in enumerate(keys):
+        i = bisect_right(seen, x)
+        counts.append(q - i)
+        seen.insert(i, x)
+    return counts
+
+
+def _inverted_pair(keys, counts, r):
+    """The r-th inverted pair (keys[p], keys[q]), p < q and keys[p] > keys[q],
+    for 0 <= r < sum(counts), numbered by q and then by keys[p]; `counts`
+    is `_count_inversions(keys)`. A uniform r gives a uniform pair."""
+    sums = list(accumulate(counts))
+    q = bisect_right(sums, r)
+    r -= sums[q] - counts[q]  # the r-th of the counts[q] greater earlier keys
+    return sorted(keys[:q])[q - counts[q] + r], keys[q]
 
 
 def _horiz_in_band(b, lo_end, hi_end) -> bool:
@@ -194,26 +187,21 @@ def _split(lines):
     return nonh, _float_lines(nonh), horiz
 
 
-def _band(nonh, fl, horiz, lo_end, hi_end, rand=None):
+def _band(nonh, horiz, lo_end, hi_end, order_lo, order_hi, rand=None):
     """(crossing-pair count in the band, one uniform pair or None) of the
-    lines `_split` returned.
+    lines `_split` returned, given their `_order`s at both ends.
 
-    The ends control whether crossings exactly at a "val" level count.
+    The ends control whether crossings exactly at a "val" level count; the
+    orders must break ties at each end to match.
     """
-    inv_count = 0
-    inv_sample = None
-    if len(nonh) >= 2:
-        lo_tie_below = lo_end[0] == "val" and lo_end[2]
-        hi_tie_below = hi_end[0] == "val" and not hi_end[2]
-        order_lo = _order(nonh, fl, lo_end, lo_tie_below)
-        order_hi = _order(nonh, fl, hi_end, hi_tie_below)
-        pos_hi = [0] * len(nonh)
-        for p, i in enumerate(order_hi):
-            pos_hi[i] = p
-        seq = [(pos_hi[i], i) for i in order_lo]
-        inv_count, pair = _merge_count_sample(seq, rand)
-        if pair is not None:
-            inv_sample = (nonh[pair[0]], nonh[pair[1]])
+    # a crossing is a pair of lines in one order at the low end and in the
+    # other at the high end: an inversion of the high-end positions
+    pos_hi = [0] * len(nonh)
+    for p, i in enumerate(order_hi):
+        pos_hi[i] = p
+    keys = [pos_hi[i] for i in order_lo]
+    counts = _count_inversions(keys)
+    inv_count = sum(counts)
 
     band_horiz = [h for h in horiz if _horiz_in_band(h.b, lo_end, hi_end)]
     horiz_count = len(band_horiz) * len(nonh)
@@ -223,11 +211,20 @@ def _band(nonh, fl, horiz, lo_end, hi_end, rand=None):
         return total, None
     r = rand.randrange(total)
     if r < inv_count:
-        return total, inv_sample
+        pair = _inverted_pair(keys, counts, r)
+        return total, (nonh[order_hi[pair[0]]], nonh[order_hi[pair[1]]])
     r -= inv_count
     h = band_horiz[r // len(nonh)]
     ln = nonh[r % len(nonh)]
     return total, (h, ln)
+
+
+def _band_count(split, lo_end, hi_end) -> int:
+    """Number of crossing pairs in the band of the lines `_split` returned."""
+    nonh, fl, horiz = split
+    order_lo = _order(nonh, fl, lo_end, lo_end[0] == "val" and lo_end[2])
+    order_hi = _order(nonh, fl, hi_end, hi_end[0] == "val" and not hi_end[2])
+    return _band(nonh, horiz, lo_end, hi_end, order_lo, order_hi)[0]
 
 
 def crossing_point(l1: Line, l2: Line):
@@ -238,7 +235,7 @@ def crossing_point(l1: Line, l2: Line):
 
 def count_vertices_at_or_below(lines, lam) -> int:
     """Number of crossing pairs with y <= lam; parallel pairs contribute none."""
-    return _band(*_split(lines), ("ninf",), ("val", lam, True))[0]
+    return _band_count(_split(lines), ("ninf",), ("val", lam, True))
 
 
 def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
@@ -255,18 +252,25 @@ def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
     arithmetic can disagree with the sweep-order keys by rounding, so the
     loop carries stall fuel and settles for the current bracket when spent.
     """
-    split = _split(lines)
+    nonh, fl, horiz = _split(lines)
+    # the order at an end depends only on its level: sort again only at the
+    # end that the last test moved
+    lo = hi = None
     fuel = 64
     while True:
-        cnt, pair = _band(
-            *split, ("val", rng.lo, False), ("val", rng.hi, False), rand
-        )
+        if rng.lo != lo:
+            lo = rng.lo
+            order_lo = _order(nonh, fl, ("val", lo, False), False)
+        if rng.hi != hi:
+            hi = rng.hi
+            order_hi = _order(nonh, fl, ("val", hi, False), True)
+        cnt, pair = _band(nonh, horiz, ("val", lo, False), ("val", hi, False),
+                          order_lo, order_hi, rand)
         if cnt == 0:
             return
         _x, y = crossing_point(*pair)
-        lo0, hi0 = rng.lo, rng.hi
         rng.resolve(tester, y)
-        if rng.lo == lo0 and rng.hi == hi0:
+        if rng.lo == lo and rng.hi == hi:
             fuel -= 1
             if fuel <= 0:
                 return
@@ -284,7 +288,7 @@ def compute_ranks(lines, rng: LambdaRange, strict: bool = True) -> dict:
     empty the band exactly and settle for the midpoint order.
     """
     nonh, fl, horiz = split = _split(lines)
-    if strict and _band(*split, ("val", rng.lo, False), ("val", rng.hi, False))[0] != 0:
+    if strict and _band_count(split, ("val", rng.lo, False), ("val", rng.hi, False)) != 0:
         raise RankContractError("range interior contains arrangement vertices")
     lam = midpoint(rng.lo, rng.hi)
     if fl is not None:

@@ -68,7 +68,12 @@ class MSearchResult:
 
 def _weighted_median(pairs):
     """Smallest value whose cumulative weight reaches half the total."""
-    pairs.sort(key=lambda t: t[0])
+    # float keys order exact values without reversing any two; equal floats
+    # fall back to the exact compare. Values beyond the float range sort exactly.
+    try:
+        pairs.sort(key=lambda t: (float(t[0]), t[0]))
+    except OverflowError:
+        pairs.sort(key=lambda t: t[0])
     total = sum(wt for _, wt in pairs)
     acc = 0
     for value, wt in pairs:

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,10 @@ import pytest
 from treecenter.arrangement import (
     Line,
     RankContractError,
+    _band,
+    _count_inversions,
     _float_lines,
+    _inverted_pair,
     _order,
     _split,
     _to_float,
@@ -198,7 +204,6 @@ def test_tester_call_budget(rng):
         band = LambdaRange(ys[0] - 1, ys[-1] + 1)
         find_boundary_vertices(lines, band, tester, r)
         total_calls += calls
-    import math
 
     assert total_calls / runs <= 3 * math.log2(64) + 5
 
@@ -235,6 +240,138 @@ def test_one_band_pass_per_test_plus_the_last(monkeypatch):
         arrangement.find_boundary_vertices(lines, band, tester, r)
         assert calls >= 1
         assert passes == calls + 1
+
+
+def test_band_pass_sorts_only_the_end_that_moved(monkeypatch):
+    import treecenter.arrangement as arrangement
+
+    real_band, real_order = arrangement._band, arrangement._order
+    passes = sorts = 0
+
+    def counted_band(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return real_band(*args, **kwargs)
+
+    def counted_order(*args, **kwargs):
+        nonlocal sorts
+        sorts += 1
+        return real_order(*args, **kwargs)
+
+    monkeypatch.setattr(arrangement, "_band", counted_band)
+    monkeypatch.setattr(arrangement, "_order", counted_order)
+    r = random.Random(4100)
+    searched = 0
+    for _ in range(20):
+        lines = random_lines(r, r.randint(2, 40))
+        ys = sorted({v[0] for v in enumerate_arrangement_vertices(lines)})
+        if len(ys) < 3:
+            continue
+        tester = threshold(r.choice(ys[1:]))
+        want1, want2 = oracle_arrangement(lines, tester)
+        passes = sorts = 0
+        band = LambdaRange(ys[0] - 1, ys[-1] + 1)
+        arrangement.find_boundary_vertices(lines, band, tester, r)
+        assert passes >= 3
+        assert sorts <= passes + 1  # two sorts per pass before
+        assert (band.lo, band.hi) == (want2[1], want1[1])
+        searched += 1
+    assert searched >= 10
+
+
+# -- counting and drawing crossings -----------------------------------------
+
+
+def brute_inversions(keys):
+    return [(keys[p], keys[q]) for q in range(len(keys)) for p in range(q)
+            if keys[p] > keys[q]]
+
+
+def merge_count(keys):
+    """Inversion count by a recursive merge sort: (count, sorted keys)."""
+    if len(keys) < 2:
+        return 0, list(keys)
+    mid = len(keys) // 2
+    cl, left = merge_count(keys[:mid])
+    cr, right = merge_count(keys[mid:])
+    count, out, i = cl + cr, [], 0
+    for x in right:
+        while i < len(left) and left[i] < x:
+            out.append(left[i])
+            i += 1
+        count += len(left) - i
+        out.append(x)
+    out.extend(left[i:])
+    return count, out
+
+
+def small_permutations():
+    r = random.Random(5000)
+    for n in range(13):
+        yield list(range(n))
+        yield list(range(n))[::-1]
+        for _ in range(4):
+            yield r.sample(range(n), n)
+
+
+def test_count_inversions_matches_brute_force():
+    for keys in small_permutations():
+        counts = _count_inversions(keys)
+        assert len(counts) == len(keys)
+        assert counts == [sum(1 for p in range(q) if keys[p] > keys[q])
+                          for q in range(len(keys))]
+    assert sum(_count_inversions(list(range(12)))) == 0
+    assert sum(_count_inversions(list(range(12))[::-1])) == 66
+
+
+def test_inverted_pair_numbers_every_inversion_once():
+    for keys in small_permutations():
+        counts = _count_inversions(keys)
+        drawn = [_inverted_pair(keys, counts, r) for r in range(sum(counts))]
+        assert sorted(drawn) == sorted(brute_inversions(keys))
+        for big, small in drawn:
+            assert big > small and keys.index(big) < keys.index(small)
+
+
+def test_drawn_pairs_are_uniform():
+    keys = random.Random(5001).sample(range(9), 9)
+    counts = _count_inversions(keys)
+    total = sum(counts)
+    assert total == len(brute_inversions(keys)) >= 10
+    r = random.Random(5002)
+    draws = 200 * total
+    seen = Counter(_inverted_pair(keys, counts, r.randrange(total)) for _ in range(draws))
+    assert set(seen) == set(brute_inversions(keys))
+    expected = draws / total
+    chi2 = sum((c - expected) ** 2 / expected for c in seen.values())
+    # Wilson-Hilferty upper 0.1% point of chi-square with total - 1 degrees
+    df = total - 1
+    bound = df * (1 - 2 / (9 * df) + 3.09 * math.sqrt(2 / (9 * df))) ** 3
+    assert chi2 < bound
+
+
+def test_count_inversions_matches_merge_count_at_scale():
+    keys = random.Random(5003).sample(range(32768), 32768)
+    count, ordered = merge_count(keys)
+    assert ordered == sorted(keys)
+    assert sum(_count_inversions(keys)) == count
+
+
+def test_band_draws_every_crossing_uniformly():
+    # all crossings of five lines in general position lie in one band
+    lines = [L(a, b, t) for t, (a, b) in enumerate([(1, 0), (-1, 3), (2, 1),
+                                                   (-3, 2), (5, -4)])]
+    nonh, fl, horiz = _split(lines)
+    lo_end, hi_end = ("val", Fraction(-1000), False), ("val", Fraction(1000), False)
+    orders = (_order(nonh, fl, lo_end, False), _order(nonh, fl, hi_end, True))
+    r = random.Random(5004)
+    seen = Counter()
+    for _ in range(2000):
+        total, pair = _band(nonh, horiz, lo_end, hi_end, *orders, r)
+        seen[frozenset(ln.tag for ln in pair)] += 1
+    assert total == 10
+    assert set(seen) == {frozenset(c) for c in itertools.combinations(range(5), 2)}
+    assert min(seen.values()) > 120  # 200 expected per pair
 
 
 # -- the float filter of exact sweep orders ---------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from treecenter.sorted_matrix import LambdaRange, SortedMatrix, msearch
+from treecenter.sorted_matrix import LambdaRange, SortedMatrix, _weighted_median, msearch
 from treecenter.stems import Stem, stem_arrays_discrete
 
 
@@ -235,3 +235,30 @@ def test_rows_outside_the_bracket_cost_at_most_two_evaluations(side):
     assert calls == [] and res.tester_calls == 0
     assert res.remaining == 0
     assert evals <= 2 * n_rows
+
+
+def exact_weighted_median(pairs):
+    ordered = sorted(pairs, key=lambda t: t[0])
+    total, acc = sum(wt for _, wt in ordered), 0
+    for value, wt in ordered:
+        acc += 2 * wt
+        if acc >= total:
+            return value
+    return ordered[-1][0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weighted_median_of_values_equal_as_floats(seed):
+    # 1 + i * 2**-70 all round to the float 1.0; m_eval returns the int 0
+    r = random.Random(seed)
+    values = [1 + Fraction(i, 2**70) for i in range(-6, 7)] + [0, Fraction(-1, 2**80)]
+    pairs = [(v, r.randint(1, 9)) for v in values for _ in range(r.randint(1, 2))]
+    r.shuffle(pairs)
+    want = exact_weighted_median(list(pairs))
+    got = _weighted_median(list(pairs))
+    assert got == want and type(got) is type(want)
+
+
+def test_weighted_median_beyond_the_float_range():
+    pairs = [(Fraction(10**400), 3), (Fraction(-(10**400)), 1), (5, 1), (Fraction(1, 3), 1)]
+    assert _weighted_median(list(pairs)) == exact_weighted_median(pairs) == 5
