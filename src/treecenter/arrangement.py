@@ -1,14 +1,16 @@
-"""Narrowing a bracket around the lowest feasible crossing of a line arrangement.
+"""Narrowing an open bracket around the lowest feasible crossing of a line arrangement.
 
-Lines are y = a*x + b. Crossings inside a y-band are counted as
-inversions between the left-to-right orders of the lines at the band's
-two ends, by bisecting into the sorted list of earlier positions; one
-more draw picks a uniformly random crossing from the band. One randomized
-loop tests drawn crossings until the bracket's interior holds none, so
-its ends become y(v2) and y(v1): the highest infeasible and the lowest
-feasible crossing. Each test moves one end, and only the order at that
-end is sorted again. The loop carries stall fuel for float runs. Later
-phases read only the line order inside that bracket (`compute_ranks`).
+Lines are y = a*x + b. Every band is the open interval (lo, hi) that the
+solver searches: crossings and horizontal lines exactly at lo or hi lie
+outside it. Crossings inside the band are counted as inversions between
+the left-to-right orders of the lines just above lo and just below hi,
+by bisecting into the sorted list of earlier positions; one more draw
+picks a uniformly random crossing from the band. One randomized loop
+tests drawn crossings until the band holds none, so its ends become
+y(v2) and y(v1): the highest infeasible and the lowest feasible crossing.
+Each test moves one end, and only the order at that end is sorted again.
+The loop carries stall fuel for float runs. Later phases read only the
+line order inside that bracket (`compute_ranks`).
 
 Horizontal lines have no sweep position; a zero-slope line carries a
 `bias` (+1 or -1) that places it at +infinity or -infinity in rank
@@ -46,38 +48,23 @@ class Line(NamedTuple):
     bias: int = 0  # only meaningful when a == 0
 
 
-# Band ends: ("ninf",) | ("val", y, include_crossings_at_y)
+def _order(nonh, fl, y, below):
+    """Indices of `nonh` in left-to-right order just below level y when
+    `below`, else just above it; `fl` holds their float copies
+    (`_float_lines`) or is None."""
+    if fl is not None:
+        y = Fraction(y)  # ints would divide to floats
+    # lines through one point at y leave it in the order of -1/a below, 1/a
+    # above; a Fraction numerator keeps the tie key exact for int slopes
+    sgn = Fraction(-1 if below else 1)
 
+    def key(i):
+        ln = nonh[i]
+        return ((y - ln.b) / ln.a, sgn / ln.a, i)
 
-def _inv(a):
-    if isinstance(a, Fraction) or isinstance(a, int):
-        return Fraction(1, 1) / a
-    return 1.0 / a
-
-
-def _end_key(end, below_on_tie: bool):
-    """Sort key function for non-horizontal lines at a band end."""
-    if end[0] == "ninf":
-        return lambda ln: (-_inv(ln.a), -ln.b / ln.a)
-    y = end[1]
-    sgn = -1 if below_on_tie else 1
-    return lambda ln: ((y - ln.b) / ln.a, sgn * _inv(ln.a))
-
-
-def _order(nonh, fl, end, below_on_tie):
-    """Indices of `nonh` in left-to-right order at a band end; `fl` holds
-    their float copies (`_float_lines`) or is None."""
-    filtered = fl is not None and end[0] == "val"
-    if filtered:
-        end = ("val", Fraction(end[1]), end[2])  # ints would divide to floats
-    key = _end_key(end, below_on_tie)
-
-    def full_key(i):
-        return key(nonh[i]) + (i,)
-
-    idx = _filtered_order(fl, end[1], full_key) if filtered else None
+    idx = None if fl is None else _filtered_order(fl, y, key)
     if idx is None:
-        idx = sorted(range(len(nonh)), key=full_key)
+        idx = sorted(range(len(nonh)), key=key)
     return idx
 
 
@@ -163,22 +150,6 @@ def _inverted_pair(keys, counts, r):
     return sorted(keys[:q])[q - counts[q] + r], keys[q]
 
 
-def _horiz_in_band(b, lo_end, hi_end) -> bool:
-    if lo_end[0] == "val":
-        if lo_end[2]:
-            if not (b >= lo_end[1]):
-                return False
-        elif not (b > lo_end[1]):
-            return False
-    if hi_end[0] == "val":
-        if hi_end[2]:
-            if not (b <= hi_end[1]):
-                return False
-        elif not (b < hi_end[1]):
-            return False
-    return True
-
-
 def _split(lines):
     """(non-horizontal lines, their float copies or None, horizontal lines)."""
     nonh, horiz = [], []
@@ -187,12 +158,13 @@ def _split(lines):
     return nonh, _float_lines(nonh), horiz
 
 
-def _band(nonh, horiz, lo_end, hi_end, order_lo, order_hi, rand=None):
-    """(crossing-pair count in the band, one uniform pair or None) of the
-    lines `_split` returned, given their `_order`s at both ends.
+def _band(nonh, horiz, lo, hi, order_lo, order_hi, rand=None):
+    """(crossing-pair count in the open band lo < y < hi, one uniform pair
+    or None) of the lines `_split` returned, given their `_order` just above
+    lo and just below hi.
 
-    The ends control whether crossings exactly at a "val" level count; the
-    orders must break ties at each end to match.
+    Needs lo < hi. Crossings at lo or hi keep their order at that end, so
+    they are not inversions; a horizontal line counts only when lo < b < hi.
     """
     # a crossing is a pair of lines in one order at the low end and in the
     # other at the high end: an inversion of the high-end positions
@@ -203,7 +175,7 @@ def _band(nonh, horiz, lo_end, hi_end, order_lo, order_hi, rand=None):
     counts = _count_inversions(keys)
     inv_count = sum(counts)
 
-    band_horiz = [h for h in horiz if _horiz_in_band(h.b, lo_end, hi_end)]
+    band_horiz = [h for h in horiz if lo < h.b < hi]
     horiz_count = len(band_horiz) * len(nonh)
 
     total = inv_count + horiz_count
@@ -219,23 +191,17 @@ def _band(nonh, horiz, lo_end, hi_end, order_lo, order_hi, rand=None):
     return total, (h, ln)
 
 
-def _band_count(split, lo_end, hi_end) -> int:
-    """Number of crossing pairs in the band of the lines `_split` returned."""
+def _band_count(split, lo, hi) -> int:
+    """Number of crossing pairs with lo < y < hi of the lines `_split` returned."""
     nonh, fl, horiz = split
-    order_lo = _order(nonh, fl, lo_end, lo_end[0] == "val" and lo_end[2])
-    order_hi = _order(nonh, fl, hi_end, hi_end[0] == "val" and not hi_end[2])
-    return _band(nonh, horiz, lo_end, hi_end, order_lo, order_hi)[0]
+    order_lo, order_hi = _order(nonh, fl, lo, False), _order(nonh, fl, hi, True)
+    return _band(nonh, horiz, lo, hi, order_lo, order_hi)[0]
 
 
 def crossing_point(l1: Line, l2: Line):
     """(x, y) of the crossing of two non-parallel lines."""
     x = (l2.b - l1.b) / (l1.a - l2.a)
     return x, l1.a * x + l1.b
-
-
-def count_vertices_at_or_below(lines, lam) -> int:
-    """Number of crossing pairs with y <= lam; parallel pairs contribute none."""
-    return _band_count(_split(lines), ("ninf",), ("val", lam, True))
 
 
 def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
@@ -260,12 +226,11 @@ def find_boundary_vertices(lines, rng: LambdaRange, tester, rand) -> None:
     while True:
         if rng.lo != lo:
             lo = rng.lo
-            order_lo = _order(nonh, fl, ("val", lo, False), False)
+            order_lo = _order(nonh, fl, lo, False)
         if rng.hi != hi:
             hi = rng.hi
-            order_hi = _order(nonh, fl, ("val", hi, False), True)
-        cnt, pair = _band(nonh, horiz, ("val", lo, False), ("val", hi, False),
-                          order_lo, order_hi, rand)
+            order_hi = _order(nonh, fl, hi, True)
+        cnt, pair = _band(nonh, horiz, lo, hi, order_lo, order_hi, rand)
         if cnt == 0:
             return
         _x, y = crossing_point(*pair)
@@ -288,7 +253,7 @@ def compute_ranks(lines, rng: LambdaRange, strict: bool = True) -> dict:
     empty the band exactly and settle for the midpoint order.
     """
     nonh, fl, horiz = split = _split(lines)
-    if strict and _band_count(split, ("val", rng.lo, False), ("val", rng.hi, False)) != 0:
+    if strict and _band_count(split, rng.lo, rng.hi) != 0:
         raise RankContractError("range interior contains arrangement vertices")
     lam = midpoint(rng.lo, rng.hi)
     if fl is not None:

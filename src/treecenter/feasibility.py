@@ -5,7 +5,10 @@ every vertex v within weighted distance w(v) * d <= lam of a center;
 `dftest0` restricts centers to vertices. Both run one post-order pass,
 maintaining for each vertex the distance to the closest center already
 placed in its subtree (sup) and the largest distance at which one more
-center would still cover everything uncovered below (dem).
+center would still cover everything uncovered below (dem). An unset sup
+or dem is `math.inf`, which a Fraction or a float compares with exactly.
+No length is ever added to or subtracted from it: a sum with an int or a
+Fraction beyond the float range would raise OverflowError.
 
 `ftest0_feasible`, the verdict-only test behind every step of the
 solver's search, runs the same scan on Python ints when the tree and lam
@@ -19,9 +22,8 @@ run on the scalars they are given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import inf, lcm
 
-from .scalars import INF
 from .tree import RootedTree
 
 
@@ -39,7 +41,6 @@ class FeasibilityOutcome:
     feasible: bool
     count: int
     centers: list
-    assignment: list  # vertex -> center index, None for unconstrained vertices
     classes: list = field(default_factory=list)  # center index -> covered vertices
     sup_root: object = None
     dem_root: object = None
@@ -52,7 +53,7 @@ def _scan(rooted: RootedTree, lam, discrete: bool, defer_root: bool):
     tree = rooted.tree
     n = tree.n
     w = tree.weights
-    sup = [INF] * n
+    sup = [inf] * n
     supc = [-1] * n
     dem = [None] * n
     # pending[v]: uncovered positive-weight vertices of the subtree at v,
@@ -65,16 +66,14 @@ def _scan(rooted: RootedTree, lam, discrete: bool, defer_root: bool):
             dem[v] = lam / w[v]
             head[v] = tail[v] = v
         else:
-            dem[v] = INF
+            dem[v] = inf
 
     centers = []
     classes = []
-    assignment = [None] * n
 
     def absorb(list_head: int, cidx: int):
         x = list_head
         while x != -1:
-            assignment[x] = cidx
             classes[cidx].append(x)
             x = nxt[x]
 
@@ -89,10 +88,11 @@ def _scan(rooted: RootedTree, lam, discrete: bool, defer_root: bool):
                 # the closest center below u mops up whatever is pending there
                 if head[u] != -1:
                     absorb(head[u], supc[u])
-                cand = sup[u] + d_uv
-                if cand < sv:
-                    sv = cand
-                    sc = supc[u]
+                if sup[u] < sv:  # else sup[u] + d_uv >= sv; skips inf + d_uv
+                    cand = sup[u] + d_uv
+                    if cand < sv:
+                        sv = cand
+                        sc = supc[u]
             elif dem[u] < d_uv:
                 cidx = len(centers)
                 if discrete:
@@ -142,7 +142,6 @@ def _scan(rooted: RootedTree, lam, discrete: bool, defer_root: bool):
         feasible=False,
         count=count,
         centers=centers,
-        assignment=assignment,
         classes=classes,
         sup_root=sup[root],
         dem_root=dem[root],
@@ -151,22 +150,12 @@ def _scan(rooted: RootedTree, lam, discrete: bool, defer_root: bool):
     )
 
 
-def _assign_weightless(rooted: RootedTree, assignment: list) -> None:
-    """Attach zero-weight vertices to the class of the nearest assigned ancestor."""
-    for v in rooted.preorder:
-        if assignment[v] is None:
-            p = rooted.parent[v]
-            if p >= 0 and assignment[p] is not None:
-                assignment[v] = assignment[p]
-
-
 def ftest0(
     rooted: RootedTree,
     lam,
     k: int,
     *,
     discrete: bool = False,
-    want_partition: bool = False,
     defer_root: bool = False,
 ) -> FeasibilityOutcome:
     """Feasibility test: minimum greedy center count vs k, with centers
@@ -175,8 +164,6 @@ def ftest0(
         raise ValueError("lam must be nonnegative")
     out = _scan(rooted, lam, discrete=discrete, defer_root=defer_root)
     out.feasible = out.count <= k
-    if want_partition:
-        _assign_weightless(rooted, out.assignment)
     return out
 
 
@@ -185,13 +172,10 @@ def dftest0(
     lam,
     k: int,
     *,
-    want_partition: bool = False,
     defer_root: bool = False,
 ) -> FeasibilityOutcome:
     """Discrete feasibility test: `ftest0` with centers restricted to vertices."""
-    return ftest0(
-        rooted, lam, k, discrete=True, want_partition=want_partition, defer_root=defer_root
-    )
+    return ftest0(rooted, lam, k, discrete=True, defer_root=defer_root)
 
 
 def ftest0_feasible(rooted: RootedTree, lam, k: int, discrete: bool = False) -> bool:
@@ -282,10 +266,10 @@ def _scan_feasible(rooted: RootedTree, lam, k: int, discrete: bool) -> bool:
     tree = rooted.tree
     n = tree.n
     w = tree.weights
-    sup = [INF] * n
+    sup = [inf] * n
     dem = [None] * n
     for v in range(n):
-        dem[v] = lam / w[v] if w[v] > 0 else INF
+        dem[v] = lam / w[v] if w[v] > 0 else inf
     count = 0
     for v in rooted.postorder:
         sv = sup[v]
@@ -293,9 +277,10 @@ def _scan_feasible(rooted: RootedTree, lam, k: int, discrete: bool) -> bool:
         for u in rooted.children[v]:
             d_uv = rooted.parent_len[u]
             if sup[u] <= dem[u]:
-                cand = sup[u] + d_uv
-                if cand < sv:
-                    sv = cand
+                if sup[u] < sv:  # as in `_scan`
+                    cand = sup[u] + d_uv
+                    if cand < sv:
+                        sv = cand
             elif dem[u] < d_uv:
                 count += 1
                 if count > k:

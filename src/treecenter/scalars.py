@@ -5,9 +5,10 @@ comparisons, so they run on `fractions.Fraction` (exact mode, the
 default for everything that must be verified) and on `float` (benchmark
 mode). The exception is the lean feasibility test
 `feasibility.ftest0_feasible`: on exact input it converts the tree to
-Python ints and uses no scalar of this module. Infinite sentinels are
-represented by `Ext` instances, never by numeric magic values, so that
-exact comparisons stay exact.
+Python ints and uses no scalar of this module. The linear scans of
+`feasibility` use `math.inf`, which compares exactly with both. Only the
+block test of phase 1 (`solver.FastFeasibility`) needs infinities of
+several levels, the `Ext` instances below; deleting phase 1 deletes `Ext`.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Ext:
         return f"{s}(level={self.level})"
 
 
-# Plain positive infinity, used for sup()/dem() in the linear-time tests.
+# Plain positive infinity, the unset sup()/dem() of the block tests.
 INF = Ext(+1, 1)
 # "Infinitely large but still below INF": seeds the pending demand of the
 # block feasibility tests so the first comparison takes the demand branch.

@@ -70,7 +70,6 @@ class RootedTree:
                     stack.append(u)
         if len(order) != n:
             raise ValueError("tree is not connected")
-        self.preorder = order
         self.postorder = order[::-1]
 
     def ancestor_distance(self, anc: int, v: int):

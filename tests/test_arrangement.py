@@ -10,6 +10,7 @@ from treecenter.arrangement import (
     Line,
     RankContractError,
     _band,
+    _band_count,
     _count_inversions,
     _float_lines,
     _inverted_pair,
@@ -17,7 +18,6 @@ from treecenter.arrangement import (
     _split,
     _to_float,
     compute_ranks,
-    count_vertices_at_or_below,
     crossing_point,
     find_boundary_vertices,
 )
@@ -59,12 +59,19 @@ def test_always_feasible_returns_lowest_vertex():
 
 
 def test_count_simple():
-    two = [L(1, 0, 1), L(-1, 0, 2)]
-    assert count_vertices_at_or_below(two, Fraction(1)) == 1
-    assert count_vertices_at_or_below(two, Fraction(0)) == 1
-    assert count_vertices_at_or_below(two, Fraction(-1, 2)) == 0
-    par = [L(1, 0, 1), L(1, 5, 2)]
-    assert count_vertices_at_or_below(par, Fraction(100)) == 0
+    # the open band (lo, hi) holds neither end
+    two = _split([L(1, 0, 1), L(-1, 0, 2)])
+    assert _band_count(two, Fraction(-1), Fraction(1)) == 1
+    assert _band_count(two, Fraction(0), Fraction(1)) == 0
+    assert _band_count(two, Fraction(-1), Fraction(0)) == 0
+    assert _band_count(two, Fraction(-1), Fraction(-1, 2)) == 0
+    # a horizontal line through the crossing crosses both lines there
+    three = _split([L(1, 0, 1), L(-1, 0, 2), L(0, 0, 3, bias=1)])
+    assert _band_count(three, Fraction(-1), Fraction(1)) == 3
+    assert _band_count(three, Fraction(0), Fraction(1)) == 0
+    assert _band_count(three, Fraction(-1), Fraction(0)) == 0
+    par = _split([L(1, 0, 1), L(1, 5, 2)])
+    assert _band_count(par, Fraction(-100), Fraction(100)) == 0
 
 
 def random_lines(rng, m, with_horizontal=True):
@@ -84,26 +91,39 @@ def test_count_matches_enumeration(seed):
     rng = random.Random(seed)
     m = rng.randint(2, 12)
     lines = random_lines(rng, m)
-    verts = enumerate_arrangement_vertices(lines)
-    for _ in range(8):
-        lam = Fraction(rng.randint(-40, 40), rng.randint(1, 2))
-        want = sum(1 for v in verts if v[0] <= lam)
-        assert count_vertices_at_or_below(lines, lam) == want
-    # also exactly at each vertex level
-    for y in sorted({v[0] for v in verts}):
-        want = sum(1 for v in verts if v[0] <= y)
-        assert count_vertices_at_or_below(lines, y) == want
+    split = _split(lines)
+    ys = [v[0] for v in enumerate_arrangement_vertices(lines)]
+    # band ends at random values, at crossing levels and at the intercepts
+    # of horizontal lines; crossings exactly at an end lie outside the band
+    levels = sorted(set(ys) | {ln.b for ln in lines if ln.a == 0})
+
+    def end():
+        if levels and rng.random() < 0.6:
+            return rng.choice(levels)
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 2))
+
+    for _ in range(20):
+        lo, hi = sorted((end(), end()))
+        if lo == hi:
+            continue
+        assert _band_count(split, lo, hi) == sum(1 for y in ys if lo < y < hi)
+    for y in levels:
+        below, above = y - 100, y + 100
+        assert _band_count(split, below, y) == sum(1 for v in ys if below < v < y)
+        assert _band_count(split, y, above) == sum(1 for v in ys if y < v < above)
 
 
 def test_count_monotone_and_jumps_at_vertices():
     rng = random.Random(99)
     lines = random_lines(rng, 9)
-    verts = enumerate_arrangement_vertices(lines)
-    ys = sorted({v[0] for v in verts})
-    prev = count_vertices_at_or_below(lines, ys[0] - 1)
-    assert prev == 0
-    for y in ys:
-        at = count_vertices_at_or_below(lines, y)
+    split = _split(lines)
+    ys = sorted({v[0] for v in enumerate_arrangement_vertices(lines)})
+    lo = ys[0] - 1
+    prev = 0
+    for y, above in zip(ys, [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + 1]):
+        assert _band_count(split, lo, y) == prev  # the crossings at y lie outside
+        assert _band_count(split, y, above) == 0
+        at = _band_count(split, lo, above)
         assert at > prev
         prev = at
 
@@ -362,12 +382,12 @@ def test_band_draws_every_crossing_uniformly():
     lines = [L(a, b, t) for t, (a, b) in enumerate([(1, 0), (-1, 3), (2, 1),
                                                    (-3, 2), (5, -4)])]
     nonh, fl, horiz = _split(lines)
-    lo_end, hi_end = ("val", Fraction(-1000), False), ("val", Fraction(1000), False)
-    orders = (_order(nonh, fl, lo_end, False), _order(nonh, fl, hi_end, True))
+    lo, hi = Fraction(-1000), Fraction(1000)
+    orders = (_order(nonh, fl, lo, False), _order(nonh, fl, hi, True))
     r = random.Random(5004)
     seen = Counter()
     for _ in range(2000):
-        total, pair = _band(nonh, horiz, lo_end, hi_end, *orders, r)
+        total, pair = _band(nonh, horiz, lo, hi, *orders, r)
         seen[frozenset(ln.tag for ln in pair)] += 1
     assert total == 10
     assert set(seen) == {frozenset(c) for c in itertools.combinations(range(5), 2)}
@@ -461,7 +481,7 @@ def test_filtered_order_equals_exact_sort(case, seed):
             sgn = -1 if below else 1
             want = sorted(range(len(nonh)), key=lambda i: (
                 (y - nonh[i].b) / nonh[i].a, sgn / nonh[i].a, i))
-            assert _order(nonh, fl, ("val", y, False), below) == want
+            assert _order(nonh, fl, y, below) == want
         got = compute_ranks(lines, LambdaRange(y - 1, y + 1), strict=False)
         assert got == _exact_ranks(lines, y)
 
@@ -478,7 +498,7 @@ def test_unrepresentable_values_take_the_fallback():
     assert fl is not None
     y = Fraction(10**400)
     want = sorted(range(3), key=lambda i: ((y - nonh[i].b) / nonh[i].a, 1 / nonh[i].a, i))
-    assert _order(nonh, fl, ("val", y, False), False) == want
+    assert _order(nonh, fl, y, False) == want
 
 
 @pytest.mark.parametrize("case", sorted(FILTER_CASES))

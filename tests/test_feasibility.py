@@ -6,7 +6,7 @@ import pytest
 
 import treecenter.feasibility as feasibility
 import treecenter.solver as solver
-from treecenter.feasibility import _scan_feasible, dftest0, ftest0, ftest0_feasible
+from treecenter.feasibility import Center, _scan_feasible, dftest0, ftest0, ftest0_feasible
 from treecenter.oracle import all_pairs_distances, candidate_values, oracle_solve
 from treecenter.tree import random_tree, root_at
 
@@ -64,6 +64,37 @@ def test_zero_weight_vertices_never_force_centers():
     assert out.feasible and out.count == 0
 
 
+@pytest.mark.parametrize("discrete", [False, True])
+def test_zero_weight_leaf_beyond_the_float_range(discrete):
+    # the leaf's unset sup must not be added to a length no float can hold
+    huge = 10**400
+    tree = path_tree([0, 1, 1], [huge, 1])
+    rooted = root_at(tree, 1)
+    test = dftest0 if discrete else ftest0
+    near = Center(None, None, 2) if discrete else Center((2, 1), F(0), None)
+    out = test(rooted, F(0), 1)
+    assert (out.count, out.centers, out.classes) == (2, [near, Center(None, None, 1)], [[2], [1]])
+    out = test(rooted, F(0), 1, defer_root=True)
+    assert (out.count, out.centers, out.uncovered) == (1, [near], [1])
+    out = test(rooted, F(1), 1)
+    assert (out.count, out.centers, out.classes) == (1, [Center(None, None, 1)], [[1, 2]])
+    out = test(rooted, F(1), 1, defer_root=True)
+    assert (out.count, out.centers, out.uncovered) == (0, [], [1, 2])
+    for lam, k, verdict in ((F(0), 1, False), (F(0), 2, True), (F(1), 1, True)):
+        assert _scan_feasible(rooted, lam, k, discrete) is verdict
+        assert ftest0_feasible(rooted, lam, k, discrete) is verdict
+    res = solver.solve(tree, 1, solver.SolverConfig(mode="discrete" if discrete else "continuous"))
+    assert res.lambda_star == (1 if discrete else F(1, 2))
+
+
+def _center_distance(c, v, dist):
+    """d(v, c) for a center at a vertex or at an offset along an edge."""
+    if c.vertex is not None:
+        return dist[v][c.vertex]
+    u, p = c.edge
+    return min(dist[v][u] + c.offset, dist[v][p] + dist[u][p] - c.offset)
+
+
 def _weighted_cover_radius(tree, centers, dist):
     """Max over vertices of w(v) * distance to the nearest center."""
     worst = 0
@@ -72,12 +103,7 @@ def _weighted_cover_radius(tree, centers, dist):
             continue
         best = None
         for c in centers:
-            if c.vertex is not None:
-                d = dist[v][c.vertex]
-            else:
-                u, p = c.edge
-                elen = dist[u][p]
-                d = min(dist[v][u] + c.offset, dist[v][p] + elen - c.offset)
+            d = _center_distance(c, v, dist)
             if best is None or d < best:
                 best = d
         if best is None:
@@ -113,28 +139,22 @@ def test_monotonicity_and_validity_random(discrete):
                 assert ftest0_feasible(rooted, lam, out.count - 1, discrete) is False
 
 
-def test_partition_classes_are_connected_subtrees():
+def test_classes_are_covered_by_their_center():
+    # post-processing of a stem reads the class of a center as vertices
+    # that center covers
     rng = random.Random(77)
-    for _ in range(10):
+    for _ in range(20):
         n = rng.randint(2, 25)
         tree = random_tree(n, seed=rng.randrange(10**6))
-        rooted = root_at(tree, 0)
-        out = ftest0(rooted, Fraction(rng.randint(1, 60)), 2, want_partition=True)
-        adj = tree.adjacency()
-        for cidx in range(len(out.centers)):
-            members = {v for v in range(n) if out.assignment[v] == cidx}
-            if not members:
-                continue
-            start = next(iter(members))
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y, _ in adj[x]:
-                    if y in members and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            assert seen == members
+        rooted = root_at(tree, rng.randrange(n))
+        dist = all_pairs_distances(tree)
+        lam = Fraction(rng.randint(1, 400), rng.randint(1, 3))
+        for discrete, defer_root in itertools.product((False, True), repeat=2):
+            out = ftest0(rooted, lam, 2, discrete=discrete, defer_root=defer_root)
+            assert len(out.classes) == len(out.centers) == out.count
+            for c, members in zip(out.centers, out.classes):
+                for v in members:
+                    assert tree.weights[v] * _center_distance(c, v, dist) <= lam
 
 
 def _min_discrete_count(tree, lam, dist):
