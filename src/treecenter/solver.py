@@ -29,6 +29,7 @@ from .stems import (
     postprocess_discrete,
     stem_arrays_discrete,
     stem_lines,
+    # no solve calls it; perfbench/layers.py traces it under this module
     stem_matrices_continuous,
     WorkingTree,
     _alpha_discrete,
@@ -425,23 +426,24 @@ class _Session:
 
     def _narrow(self, stems, cut=None):
         """Narrow the bracket over the candidate values of `stems` and return
-        the stems to fold. With `cut` (phase 0), sorted-matrix search stops
-        once at most `cut` pool elements remain inside the bracket, and only
-        the stems with none of them left are kept."""
-        if self.discrete or cut is not None:
-            build = stem_arrays_discrete if self.discrete else stem_matrices_continuous
+        the stems to fold. Discrete mode searches the sorted point-distance
+        arrays; with `cut` (phase 0) that search stops once at most `cut`
+        pool elements remain inside the bracket, and only the stems with
+        none of them left are kept. Continuous mode resolves every line
+        crossing of `stems`, in every phase, and keeps them all."""
+        if self.discrete:
             pool, owners = [], []
             for si, st in enumerate(stems):
-                mats = build(st)[0]
+                mats = stem_arrays_discrete(st)[0]
                 pool.extend(mats)
                 owners.extend([si] * len(mats))
             res = msearch(pool, self.range, cut or 0, self._tester())
             if cut is not None:
                 hot = {owners[i] for i, rem in enumerate(res.remaining_per_matrix) if rem > 0}
                 stems = [st for si, st in enumerate(stems) if si not in hot]
-        if not self.discrete:
-            # the line crossings, which also settle the thresholds (twig
-            # reach et al.) that the one-center matrices do not enumerate
+        else:
+            # the line crossings settle every postprocessing value (one-center
+            # optima, twig reach et al.) of the stems
             pool = []
             for si, st in enumerate(stems):
                 pool.extend(stem_lines(st, stem_id=si))

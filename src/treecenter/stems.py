@@ -338,7 +338,11 @@ def stem_halfplanes(stem: Stem) -> list:
 
 def stem_matrices_continuous(stem: Stem, env: EnvelopeIndex = None):
     """The m x m matrix plus one pair of arrays per twig; every row is
-    nonincreasing. Elements evaluate through sublist lowest-point queries."""
+    nonincreasing. Elements evaluate through sublist lowest-point queries.
+
+    No solve calls it: continuous mode narrows on the stems' line
+    crossings, which include these values. Tests check its matrices, and
+    the benchmark's tracer resolves it as `treecenter.solver` names it."""
     if env is None:
         env = EnvelopeIndex(stem_halfplanes(stem))
     m = stem.m

@@ -92,47 +92,103 @@ def test_phase0_identity_when_few_leaves():
 
 def test_phase0_leaf_count_decreases():
     # a full binary tree has (n - 1) / 2 < n / 2 non-root leaves, so the
-    # limit 2n/r cuts into them only for r > 4
+    # limit 2n/r cuts into them only for r > 4; `cut` acts only in discrete
+    # mode, continuous mode folds every leaf stem it narrows over
     tree = full_binary_tree(6)  # n = 63
     r = 16
-    s = _Session(tree, 3, SolverConfig(r=r))
-    s.preprocess()
-    s.phase = "phase0"
-    limit = 2 * tree.n / r
-    counts = [s.working.leaf_count()]
-    while counts[-1] > limit:
-        stems = s.working.leaf_stems(max_len=r)
-        s._reduce(s._narrow(stems, cut=sum(st.m for st in stems) // (2 * r)))
-        counts.append(s.working.leaf_count())
-        assert counts[-1] < counts[-2]
-    assert len(counts) >= 3
+    for mode in ("continuous", "discrete"):
+        s = _Session(tree, 3, SolverConfig(mode=mode, r=r))
+        s.preprocess()
+        s.phase = "phase0"
+        limit = 2 * tree.n / r
+        counts = [s.working.leaf_count()]
+        while counts[-1] > limit:
+            stems = s.working.leaf_stems(max_len=r)
+            s._reduce(s._narrow(stems, cut=sum(st.m for st in stems) // (2 * r)))
+            counts.append(s.working.leaf_count())
+            assert counts[-1] < counts[-2], mode
+        assert len(counts) >= 3, mode
 
 
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 def test_phase0_preserves_optimum(mode):
-    rng = random.Random(55)
-    for _ in range(20):
-        n = rng.randint(6, 48)
-        tree = random_tree(n, seed=rng.randrange(10**6))
-        k = rng.randint(1, max(1, n // 2))
-        want = oracle_solve(tree, k, mode)
-        s = _Session(tree, k, SolverConfig(mode=mode, r=3))
-        if ftest0_feasible(s.rooted, 0, k, mode == "discrete"):
-            continue
-        s.preprocess()
-        import treecenter.solver as SV
+    import treecenter.solver as SV
 
-        try:
-            s.phase0()
-        except SV._BudgetExhausted:
-            assert want == s.range.hi
-            continue
-        # the reduced instance, solved with the remaining budget, has the
-        # same optimum as the original
-        rooted_red = s.working.materialize()
-        got = oracle_solve(rooted_red.tree, max(s.k_work, 1), mode)
-        assert got == want
-        assert s.range.lo < want <= s.range.hi
+    rng = random.Random(55)
+    # weights 0..20 with r = 3, then unit weights, where preprocessing makes
+    # no test and phase 0 makes them all; r = 8 lets phase 0 run there
+    families = [(20, (0, 20), 3), (10, (1, 1), 8)]
+    phase0_tests = 0
+    for count, weights, r in families:
+        for _ in range(count):
+            n = rng.randint(6, 48)
+            tree = random_tree(n, seed=rng.randrange(10**6), weight_range=weights)
+            k = rng.randint(1, max(1, n // 2))
+            want = oracle_solve(tree, k, mode)
+            s = _Session(tree, k, SolverConfig(mode=mode, r=r))
+            if ftest0_feasible(s.rooted, 0, k, mode == "discrete"):
+                continue
+            s.preprocess()
+            try:
+                s.phase0()
+            except SV._BudgetExhausted:
+                assert want == s.range.hi
+                continue
+            finally:
+                phase0_tests += s.stats["tests"]["phase0"]
+            # the reduced instance, solved with the remaining budget, has
+            # the same optimum as the original
+            rooted_red = s.working.materialize()
+            got = oracle_solve(rooted_red.tree, max(s.k_work, 1), mode)
+            assert s.range.lo < want <= s.range.hi
+            if want < s.range.hi or weights != (1, 1):
+                assert got == want
+            else:
+                # unit weights can close phase 0 at hi == lambda*, where the
+                # reduction need not be faithful (the solver never tests hi)
+                assert got >= want
+    # made by the unit-weight family: the 0..20 family makes none
+    assert phase0_tests > 0
+
+
+def test_continuous_phase0_narrows_on_lines_only(monkeypatch):
+    """Continuous phase 0 resolves line crossings: it builds no envelope
+    index and runs no sorted-matrix search. Discrete phase 0 still does."""
+    import treecenter.solver as SV
+    import treecenter.sublist_lp as LP
+
+    trees = [
+        random_tree(n, seed=seed, weight_range=weights, shape=shape)
+        for weights in ((1, 1), (0, 20))
+        for seed, (shape, n) in enumerate(
+            [("uniform-attach", 150), ("caterpillar", 120), ("star", 100),
+             ("uniform-attach", 200)]
+        )
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("continuous solve reached the one-center matrices")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LP.EnvelopeIndex, "__init__", forbidden)
+        patch.setattr(SV, "msearch", forbidden)
+        phase0 = 0
+        for tree in trees:
+            res = solve(tree, max(1, tree.n // 50))
+            phase0 += res.stats["tests"]["phase0"]
+        assert phase0 > 0
+
+    searched = []
+    real = SV.msearch
+
+    def counting(*args, **kwargs):
+        searched.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(SV, "msearch", counting)
+    for tree in trees:
+        solve(tree, max(1, tree.n // 50), SolverConfig(mode="discrete"))
+    assert searched
 
 
 def test_phase1_no_active_candidate_values():
